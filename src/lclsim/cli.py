@@ -124,6 +124,10 @@ def random_valid_weak_coloring(g, c, k, seed, repair_passes=20):
     from .problems import _sees_other_color
     if g.n < 2:
         raise InvalidInputError("weak colorings need at least two nodes")
+    if c < 2:
+        raise InvalidParameterError("a weak coloring needs --c >= 2 colors")
+    if k < 1:
+        raise InvalidParameterError("a weak coloring needs distance --k >= 1")
     rng = random.Random(seed)
     phi = {v: rng.randrange(1, c + 1) for v in range(g.n)}
     for _ in range(repair_passes):
@@ -261,9 +265,9 @@ def cmd_speedup(args):
     if args.algorithm not in sources:
         print(f"unknown source algorithm {args.algorithm!r}", file=sys.stderr)
         return EXIT_CONFIG
+    cfg = SpeedupConfig(delta=args.delta, c=args.c, t=args.t,
+                        f=parse_fraction(args.f), b=args.b)
     alg = sources[args.algorithm](args.delta, args.t, args.b, args.c, args.seed)
-    cfg = SpeedupConfig(delta=args.delta, c=alg.c if args.direction == 1 else args.c,
-                        t=args.t, f=parse_fraction(args.f), b=args.b)
     g = gen_regular_tree(args.delta, args.t + 2)
     report = verify_speedup_inequality(
         g, alg, None, cfg, args.direction,
@@ -417,6 +421,8 @@ def _apply_config(parser, argv):
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
+    if i + 1 == len(argv):
+        raise InvalidParameterError("--config needs the path of a config file")
     path = argv[i + 1]
     with open(path) as fh:
         cfg = json.load(fh)

@@ -6,6 +6,9 @@ rounds.  Failure probabilities are over the per-node random bit strings
 (b bits per node, finite so that exact enumeration is possible) and are
 measured either exactly, by enumerating every bit assignment on the
 relevant ball, or by seeded Monte Carlo with a two-sided Hoeffding bound.
+Both modes count assignments in numpy blocks: a view depends only on the
+bits of its own ball, so each view is evaluated once per distinct bit
+pattern of that ball, not once per assignment.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import (BudgetExceededError, InvalidInputError,
                      InvalidInstanceError, TotalRuleViolation)
@@ -24,6 +29,7 @@ ENUM_BUDGET_BITS = 24
 DEFAULT_BITS_PER_NODE = 2
 MC_DEFAULT_SAMPLES = 10**6
 MC_DEFAULT_CONFIDENCE = 0.99
+BLOCK_ROWS = 4096            # assignments counted per numpy block
 
 
 @dataclass
@@ -216,30 +222,20 @@ def weak_edge_coloring_failure(g, v, labels):
 # ---------------------------------------------------------------------------
 
 
+def _check_budget(total_bits, budget_bits):
+    if total_bits > budget_bits:
+        raise BudgetExceededError(
+            f"{total_bits} bits exceed the exact-enumeration budget of {budget_bits}")
+
+
 def enumerate_assignments(region, b, budget_bits=ENUM_BUDGET_BITS):
     """Yield every bit map on ``region`` exactly once, counter order."""
     nodes = sorted(region)
     total_bits = b * len(nodes)
-    if total_bits > budget_bits:
-        raise BudgetExceededError(
-            f"{total_bits} bits exceed the exact-enumeration budget of {budget_bits}")
+    _check_budget(total_bits, budget_bits)
     mask = (1 << b) - 1
     for counter in range(1 << total_bits):
         yield {u: (counter >> (i * b)) & mask for i, u in enumerate(nodes)}
-
-
-def _labels_for_predicate(g, alg, v, assignment, inputs):
-    t = alg.rounds
-    if alg.kind == "node":
-        labels = {}
-        for u in [v] + g.adjacent(v):
-            labels[u] = alg.evaluate(extract_view(g, u, t, assignment, inputs))
-        return labels
-    labels = {}
-    for u in g.adjacent(v):
-        labels[edge_key(v, u)] = alg.evaluate(
-            extract_view(g, (v, u), t, assignment, inputs))
-    return labels
 
 
 def require_interior(g, v, radius):
@@ -249,6 +245,144 @@ def require_interior(g, v, radius):
         if g.degree(u) <= 1:
             raise InvalidInstanceError(
                 f"radius-{radius} ball of node {v} contains a leaf")
+
+
+class _CompiledBall:
+    """The failure event at v as a function of the bits on ``B_{t+1}(v)``.
+
+    The predicate reads one label per source (v and its neighbours, or the
+    edges at v).  A source's view depends only on the bits of its support:
+    the positions in the region of its radius-t ball, or of both endpoint
+    balls for an edge.  Each view is therefore extracted and evaluated once
+    per distinct bit pattern of its support, and the predicate runs once
+    per distinct tuple of labels; the memos are kept across blocks.
+    """
+
+    def __init__(self, g, alg, v, fail_predicate, b, ids, inputs):
+        self.g, self.alg, self.v, self.fail_predicate = g, alg, v, fail_predicate
+        self.b, self.ids, self.inputs = b, ids, inputs
+        t = alg.rounds
+        self.region = sorted(bfs_distances(g, v, t + 1))
+        pos = {u: i for i, u in enumerate(self.region)}
+        if alg.kind == "node":
+            sources = {u: u for u in [v] + g.adjacent(v)}
+        else:
+            sources = {edge_key(v, u): (v, u) for u in g.adjacent(v)}
+        self.label_keys = list(sources)
+        self.centers = list(sources.values())
+        self.supports = []
+        for center in self.centers:
+            ends = center if isinstance(center, tuple) else (center,)
+            ball = set().union(*(bfs_distances(g, u, t) for u in ends))
+            self.supports.append(np.array(sorted(pos[u] for u in ball), dtype=np.intp))
+        self.memos = [{} for _ in self.centers]   # support pattern -> label code
+        self.codes = {}                             # (type, label) -> label code
+        self.labels = []                            # label code -> label
+        self.fails = {}                             # label codes -> failure
+
+    def _label(self, i, pattern):
+        bits = dict(zip((self.region[p] for p in self.supports[i].tolist()),
+                        pattern.tolist()))
+        a = Assignment(b=self.b, bits=bits, ids=self.ids)
+        label = self.alg.evaluate(
+            extract_view(self.g, self.centers[i], self.alg.rounds, a, self.inputs))
+        key = (type(label), label)
+        if key not in self.codes:
+            self.codes[key] = len(self.labels)
+            self.labels.append(label)
+        return self.codes[key]
+
+    def _label_codes(self, i, block):
+        """Label code of source i on every row of the bit matrix."""
+        cols = block[:, self.supports[i]]
+        width = cols.shape[1]
+        if self.b * width <= 62:
+            keys = np.zeros(len(block), dtype=np.int64)
+            for j in range(width):
+                keys |= cols[:, j].astype(np.int64) << (self.b * j)
+        else:  # too wide for an int64 key: key on the row's bytes
+            keys = np.ascontiguousarray(cols).view(
+                np.dtype((np.void, width * cols.itemsize))).ravel()
+        uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        memo = self.memos[i]
+        lut = np.empty(len(uniq), dtype=np.int64)
+        for j, (key, row) in enumerate(zip(uniq.tolist(), first.tolist())):
+            if key not in memo:
+                memo[key] = self._label(i, cols[row])
+            lut[j] = memo[key]
+        return lut[inverse]
+
+    def hits(self, block):
+        """Number of rows of ``block`` (one assignment of the region per
+        row) on which the failure event holds at v."""
+        per_source = [self._label_codes(i, block) for i in range(len(self.centers))]
+        radix = len(self.labels)
+        joint = np.zeros(len(block), dtype=np.int64)
+        for codes in per_source:
+            if int(joint.max()) >= (1 << 62) // radix:
+                _, joint = np.unique(joint, return_inverse=True)  # re-index
+            joint = joint * radix + codes
+        _, first, counts = np.unique(joint, return_index=True, return_counts=True)
+        hits = 0
+        for row, count in zip(first.tolist(), counts.tolist()):
+            combo = tuple(int(codes[row]) for codes in per_source)
+            if combo not in self.fails:
+                labels = {k: self.labels[c] for k, c in zip(self.label_keys, combo)}
+                self.fails[combo] = bool(self.fail_predicate(self.g, self.v, labels))
+            if self.fails[combo]:
+                hits += count
+        return hits
+
+
+def _counter_blocks(m, b, dtype):
+    """Every assignment of m nodes, ``enumerate_assignments``' order, as
+    ``(rows, m)`` blocks of bits."""
+    total = 1 << (b * m)
+    mask = (1 << b) - 1
+    for lo in range(0, total, BLOCK_ROWS):
+        counter = np.arange(lo, min(lo + BLOCK_ROWS, total), dtype=np.int64)
+        block = np.empty((counter.size, m), dtype=dtype)
+        for i in range(m):
+            block[:, i] = (counter >> (b * i)) & mask
+        yield block
+
+
+def _randrange_chunks(seed, b):
+    """The stream of ``random.Random(seed).randrange(2**b)``, in chunks.
+
+    For b <= 31, CPython's ``randrange(2**b)`` is the top b+1 bits of one
+    MT19937 output, drawn again while the highest of them is set; numpy's
+    MT19937, started from the same state, replays those outputs in bulk.
+    """
+    top = 1 << b
+    if b > 31:
+        draw = random.Random(seed).randrange
+        while True:
+            yield np.array([draw(top) for _ in range(1 << 12)], dtype=np.int64)
+    *key, pos = random.Random(seed).getstate()[1]
+    mt = np.random.MT19937()
+    mt.state = {"bit_generator": "MT19937",
+                "state": {"key": np.array(key, dtype=np.uint32), "pos": pos}}
+    while True:
+        draws = mt.random_raw(1 << 14) >> (31 - b)
+        yield draws[draws < top]
+
+
+def _sample_blocks(seed, samples, m, b, dtype):
+    """``samples`` rows of m consecutive draws of the randrange stream, as
+    ``(rows, m)`` blocks."""
+    chunks = _randrange_chunks(seed, b)
+    spare = np.empty(0, dtype=dtype)
+    for lo in range(0, samples, BLOCK_ROWS):
+        block = np.empty(min(BLOCK_ROWS, samples - lo) * m, dtype=dtype)
+        filled = 0
+        while filled < block.size:
+            if not spare.size:
+                spare = next(chunks)
+            take = min(spare.size, block.size - filled)
+            block[filled:filled + take] = spare[:take]
+            spare, filled = spare[take:], filled + take
+        yield block.reshape(-1, m)
 
 
 def local_failure_probability(g, alg, v, fail_predicate, mode="exact",
@@ -263,33 +397,23 @@ def local_failure_probability(g, alg, v, fail_predicate, mode="exact",
     node count) and returns the precise frequency as a Fraction; it raises
     ``BudgetExceededError`` when ``b*m`` exceeds the budget, in which case
     the caller must switch modes.  Monte Carlo returns an unbiased estimate
-    with the two-sided Hoeffding radius at the stated confidence.
+    with the two-sided Hoeffding radius at the stated confidence; each
+    sample draws ``random.Random(seed).randrange(2**b)`` for the ball's
+    nodes in sorted order.  Assignments are counted in numpy blocks, and
+    each view is evaluated once per distinct bit pattern of its support.
     """
-    t = alg.rounds
-    require_interior(g, v, t + 1)
-    region = sorted(bfs_distances(g, v, t + 1))
-    base_ids = ids
-
-    def outcome(bit_map):
-        a = Assignment(b=b, bits=bit_map, ids=base_ids)
-        labels = _labels_for_predicate(g, alg, v, a, inputs)
-        return bool(fail_predicate(g, v, labels))
-
+    require_interior(g, v, alg.rounds + 1)
+    ball = _CompiledBall(g, alg, v, fail_predicate, b, ids, inputs)
+    m = len(ball.region)
+    dtype = np.uint8 if b <= 8 else np.int64
     if mode == "exact":
-        hits = 0
-        total = 0
-        for bit_map in enumerate_assignments(region, b, budget_bits):
-            hits += outcome(bit_map)
-            total += 1
-        return FailureEstimate(value=Fraction(hits, total), mode="exact")
+        _check_budget(b * m, budget_bits)
+        hits = sum(ball.hits(block) for block in _counter_blocks(m, b, dtype))
+        return FailureEstimate(value=Fraction(hits, 1 << (b * m)), mode="exact")
     if mode != "monte-carlo":
         raise InvalidInputError(f"unknown mode {mode!r}")
-    rng = random.Random(seed)
-    top = 1 << b
-    hits = 0
-    for _ in range(samples):
-        bit_map = {u: rng.randrange(top) for u in region}
-        hits += outcome(bit_map)
+    hits = sum(ball.hits(block)
+               for block in _sample_blocks(seed, samples, m, b, dtype))
     err = hoeffding_radius(samples, confidence)
     return FailureEstimate(value=hits / samples, mode="monte-carlo",
                            error=err, samples=samples, seed=seed)

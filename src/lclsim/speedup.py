@@ -39,6 +39,12 @@ class SpeedupConfig:
             raise InvalidParameterError("threshold f must satisfy 0 < f < 1")
         if self.delta % 2 != 0 or self.delta < 2:
             raise InvalidParameterError("delta must be even and positive")
+        if self.b < 1:
+            raise InvalidParameterError("b (random bits per node) must be >= 1")
+        if self.c < 2:
+            raise InvalidParameterError("c (palette size) must be >= 2")
+        if self.t < 0:
+            raise InvalidParameterError("t (rounds) must be >= 0")
 
 
 def default_f_grid(points=100):
@@ -49,6 +55,12 @@ def default_f_grid(points=100):
 # ---------------------------------------------------------------------------
 # Exact local failure probabilities on the homogeneous oriented tree
 # ---------------------------------------------------------------------------
+
+
+def _count_dtype(b, m, free_count, delta):
+    """int64 while the failure count, at most ``2**(b*(m + free_count*delta))``,
+    fits in 62 bits; Python ints (object arrays) beyond."""
+    return np.int64 if b * (m + free_count * delta) <= 62 else object
 
 
 def node_local_failure(alg):
@@ -68,6 +80,7 @@ def node_local_failure(alg):
         known, free = key_tables(fr, b, m)
         keys = known[:, None] | free[None, :]
         counts = (alg.table[keys] == out[:, None]).sum(axis=1, dtype=np.int64)
+        counts = counts.astype(_count_dtype(b, m, fr.free_count, delta), copy=False)
         prod = counts if prod is None else prod * counts
         free_bits = b * fr.free_count
     den = (1 << (b * m)) * (1 << (free_bits * delta))
@@ -122,7 +135,8 @@ def edge_local_failure(alg):
             keys = known[:, None] | free[None, :]
             lab = alg.tables[dim][keys]
             rel = rel_plus if direction % 2 == 0 else rel_minus
-            per_side.append(_onehot_counts(rel[lab], n_codes))
+            per_side.append(_onehot_counts(rel[lab], n_codes).astype(
+                _count_dtype(b, m, fr.free_count, delta), copy=False))
             free_bits = b * fr.free_count
         match = (per_side[0] * per_side[1]).sum(axis=1)
         prod = match if prod is None else prod * match

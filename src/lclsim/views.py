@@ -101,7 +101,9 @@ def extract_view(g, center, t, assignment=None, inputs=None):
 
     Edge views are the union of the two endpoint balls; the endpoint
     encodings are ordered by orientation (the endpoint holding the ``+``
-    side first) or, on unoriented graphs, lexicographically.
+    side first) or, on unoriented graphs, by their ``repr``: a total order
+    that does not depend on which endpoint is named first, also where
+    payloads mix ``None`` with other values.
     """
     if t < 0:
         raise InvalidParameterError("radius must be >= 0")
@@ -115,7 +117,7 @@ def extract_view(g, center, t, assignment=None, inputs=None):
             first, second = (enc_u, enc_v) if sign > 0 else (enc_v, enc_u)
             head = dim
         else:
-            first, second = sorted((enc_u, enc_v))
+            first, second = sorted((enc_u, enc_v), key=repr)
             head = 0
         ball = set(bfs_distances(g, u, t)) | set(bfs_distances(g, v, t))
         return View(g, edge_key(u, v), t, "edge", ("E", head, first, second),

@@ -137,3 +137,19 @@ def test_bad_parameters_exit_config(tmp_path):
     assert run_cli(["gen", "regular-tree", "--delta", "3", "--radius", "2",
                     "--out", str(tmp_path / "t.json")]) == 2
     assert run_cli(["run", "--algorithm", "nope", "--graph", "missing.json"]) == 2
+
+
+def test_invalid_flags_exit_config(tmp_path, capsys):
+    assert run_cli(["--config"]) == 2
+    tree = tmp_path / "tree.json"
+    run_cli(["gen", "regular-tree", "--delta", "4", "--radius", "2",
+             "--out", str(tree)])
+    assert run_cli(["run", "--algorithm", "weak-family-to-weak2",
+                    "--graph", str(tree), "--c", "1",
+                    "--out", str(tmp_path / "w.json")]) == 2
+    for flag, val in (("--b", "0"), ("--c", "1"), ("--t", "-1")):
+        assert run_cli(["speedup", "--direction", "1", flag, val,
+                        "--out", str(tmp_path / "s.json")]) == 2
+    assert not (tmp_path / "s.json").exists()
+    err = capsys.readouterr().err
+    assert "--config needs" in err and "--c >= 2" in err and "b (random bits" in err

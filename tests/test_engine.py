@@ -11,7 +11,7 @@ from lclsim.engine import (Assignment, DirectedPair, FailureEstimate,
                            weak_coloring_failure, weak_edge_coloring_failure)
 from lclsim.errors import (BudgetExceededError, InvalidInputError,
                            InvalidInstanceError, TotalRuleViolation)
-from lclsim.graph import gen_regular_tree
+from lclsim.graph import gen_cycle, gen_regular_tree
 from lclsim.views import extract_view
 
 
@@ -205,3 +205,11 @@ def test_execution_independence_at_distance():
 def test_hoeffding_radius_shape():
     assert hoeffding_radius(10**6, 0.99) < 0.002
     assert hoeffding_radius(100, 0.99) > hoeffding_radius(1000, 0.99)
+
+
+def test_unoriented_edge_view_with_partial_inputs():
+    g = gen_cycle(6)
+    for t in (0, 1, 2):
+        there = extract_view(g, (0, 1), t, inputs={0: "a"})
+        back = extract_view(g, (1, 0), t, inputs={0: "a"})
+        assert there.encoding == back.encoding

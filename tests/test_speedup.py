@@ -13,6 +13,7 @@ from lclsim.oriented import (NodeTable, ball_paths, edge_positions,
                              key_tables, neighbor_frame)
 from lclsim.speedup import (SpeedupConfig, as_local_algorithm,
                             ball_parity_node_algorithm,
+                            center_mod_node_algorithm,
                             constant_edge_algorithm, constant_node_algorithm,
                             default_f_grid, edge_local_failure,
                             edge_to_node_speedup, inequality_rhs,
@@ -247,3 +248,22 @@ def test_config_validation():
     alg = own_bit_node_algorithm(4, 1, 1, 2)
     with pytest.raises(InvalidParameterError):
         node_to_edge_speedup(alg, SpeedupConfig(4, 2, 2, Fraction(1, 2), 1))
+    for bad in ({"b": 0}, {"c": 1}, {"t": -1}):
+        kw = {"delta": 4, "c": 2, "t": 1, "f": Fraction(1, 2), "b": 1, **bad}
+        with pytest.raises(InvalidParameterError):
+            SpeedupConfig(**kw)
+
+
+@pytest.mark.parametrize("make, want", [
+    (own_bit_node_algorithm, Fraction(1, 64)),
+    (center_mod_node_algorithm, Fraction(1, 64)),
+    (constant_node_algorithm, Fraction(1)),
+])
+def test_node_kernel_counts_past_int64(make, want):
+    # delta=6, t=1, b=2: the count reaches 2**(b*(m + free*delta)) = 2**74
+    assert node_local_failure(make(6, 1, 2, 2)) == want
+
+
+def test_edge_kernel_counts_past_int64():
+    # delta=8, t=1, b=1: the count reaches 2**(9 + 7*8) = 2**65
+    assert edge_local_failure(constant_edge_algorithm(8, 1, 1, 2)) == 1

@@ -172,15 +172,20 @@ def mis_to_weak2(pf, psi):
 
 @dataclass
 class PipelineResult:
+    """The weak 2-coloring (``labels``, 1 = in the independent set) and the
+    stages it was computed from."""
+
     labels: dict
     rounds: int
     stage_rounds: dict
-    detail: dict = None
+    recolored: dict
+    pseudoforest_ports: dict
+    three_coloring: dict
 
 
 def weak_family_to_weak2(g, phi, k, c, validate=True):
     """Distance-k weak c-coloring -> weak 2-coloring, constant extra rounds."""
-    phi2, r_recolor, detail = weak_to_weak2c(g, phi, k, c, validate=validate)
+    phi2, r_recolor, _ = weak_to_weak2c(g, phi, k, c, validate=validate)
     pf = build_pseudoforest(g, phi2)
     psi, r_cv = cole_vishkin_reduce(pf, phi2, 2 * c)
     labels, r_mis = mis_to_weak2(pf, psi)
@@ -188,8 +193,8 @@ def weak_family_to_weak2(g, phi, k, c, validate=True):
                     "color-reduction": r_cv, "mis": r_mis}
     return PipelineResult(labels=labels,
                           rounds=sum(stage_rounds.values()),
-                          stage_rounds=stage_rounds,
-                          detail=detail)
+                          stage_rounds=stage_rounds, recolored=phi2,
+                          pseudoforest_ports=pf.out_port, three_coloring=psi)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +262,7 @@ def solve_pointer_labeling_local(g, r, assignment):
     ids = [assignment.ids[v] for v in range(g.n)]
 
     if g.edge_count() == g.n - 1:
-        return _solve_pointer_tree(g, r, ids)
+        return _solve_pointer_tree(g, r, ids)[0]
 
     cycle_cache = {}
     irr = {v: _solver_irregularity(g, v, r, ids, cycle_cache)
@@ -332,6 +337,8 @@ def _cycle_successor(cyc, ids):
 
 
 def _solve_pointer_tree(g, r, ids):
+    """Labels of the nodes within distance r of their target, and the
+    largest distance to a target."""
     target, dist, pred = _tree_irregularity_map(g, ids)
     labels = {}
     for v in range(g.n):
@@ -342,7 +349,7 @@ def _solve_pointer_tree(g, r, ids):
         else:
             labels[v] = PointerLabel(d=g.degree(target[v]),
                                      port=g.port_toward(v, pred[v]))
-    return labels
+    return labels, max(dist)
 
 
 def solve_pointer_labeling(g, assignment):
@@ -354,16 +361,7 @@ def solve_pointer_labeling(g, assignment):
     ids = [assignment.ids[v] for v in range(g.n)]
 
     if g.edge_count() == g.n - 1:
-        target, dist, pred = _tree_irregularity_map(g, ids)
-        r_star = max(dist)
-        labels = {}
-        for v in range(g.n):
-            if g.degree(v) < g.delta:
-                labels[v] = PointerLabel(d=g.degree(v), port=None)
-            else:
-                labels[v] = PointerLabel(d=g.degree(target[v]),
-                                         port=g.port_toward(v, pred[v]))
-        return labels, r_star
+        return _solve_pointer_tree(g, float("inf"), ids)
 
     # grow the radius until every node sees an irregularity; an irregularity
     # found at radius r has globally minimal effective distance, so the

@@ -172,27 +172,6 @@ def recurrence_bound(c0, p0, t, delta=4):
                            closed_form=closed, iterated=iterated, steps=steps)
 
 
-def audit_chain(c0, p0, t, delta=4, precision_bits=PRECISION_BITS):
-    """The analysis' auxiliary sequence, exposed for audit: going up from
-    (p_1~ = p0, c_1~ = c0) with c_i~ = 2^(2 c_{i+1}~) read downward and
-    p_{i+1}~ = (p_i~/(delta+1))^(delta+1) / c_{i+1}~^delta, for 2t+1 steps.
-
-    Palette entries shrink through real-valued half-logs; every element
-    stays at or above the closed form.  High-precision floats (the values
-    underflow any fixed-exponent format long before t = 3).
-    """
-    with mpmath.workprec(precision_bits):
-        c_seq = [mpmath.mpf(c0)]
-        p_seq = [mpmath.mpf(p0.numerator) / mpmath.mpf(p0.denominator)
-                 if isinstance(p0, Fraction) else mpmath.mpf(p0)]
-        for _ in range(2 * t + 1):
-            c_next = mpmath.log(c_seq[-1], 2) / 2 if c_seq[-1] > 0 else c_seq[-1]
-            c_seq.append(c_next)
-            p_seq.append((p_seq[-1] / (delta + 1)) ** (delta + 1)
-                         / abs(c_next) ** delta if c_next != 0 else p_seq[-1])
-        return c_seq, p_seq
-
-
 # ---------------------------------------------------------------------------
 # Global success bound
 # ---------------------------------------------------------------------------

@@ -8,8 +8,12 @@ dimension ``d in 1..k`` and is labeled ``(d, +)`` at one endpoint and
 ``(1,+), (1,-), (2,+), (2,-)`` play the roles right/left/up/down.
 
 Graphs are immutable after construction; every mutating operation builds a
-new graph.  Storage is flat ``array`` CSR so that trees with millions of
-nodes stay cheap.
+new graph.  Every graph comes out of one builder
+(``PortedGraph._from_columns``), which takes per-edge numpy columns,
+range-checks them and orders the half-edges by ``(node, port)`` into CSR.
+Storage is compact ``array`` CSR (cheap scalar indexing for the per-node
+accessors); ``csr()`` hands out zero-copy numpy views of it, over which
+validation, serialization and the generators work whole-array.
 """
 
 from __future__ import annotations
@@ -35,6 +39,27 @@ def edge_key(u, v):
     return (u, v) if u < v else (v, u)
 
 
+def _count(x, what):
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < 0:
+        raise InvalidInstanceError(f"{what} must be a non-negative integer")
+    return int(x)
+
+
+def _store(code, values):
+    """Copy ``values`` into ``array`` storage of the given type code."""
+    out = array(code, [0]) * len(values)
+    np.frombuffer(out, code)[:] = values
+    return out
+
+
+def _reject_if(bad, message, nodes=None):
+    """Raise naming the node of the first entry where ``bad`` holds
+    (``nodes[i]``, or ``i`` itself when ``nodes`` is None)."""
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise InvalidInstanceError(message.format(i if nodes is None else nodes[i]))
+
+
 class PortedGraph:
     """Immutable port-numbered graph, optionally edge-oriented."""
 
@@ -56,63 +81,86 @@ class PortedGraph:
 
     @classmethod
     def from_edges(cls, n, edges, delta=None, meta=None, validate=True):
-        """Build from ``(u, v, port_u, port_v[, dim, sign])`` tuples.
+        """Build from ``(u, v, port_u, port_v[, dim, sign])`` rows (all
+        rows of one length; a sequence of tuples or an integer array).
 
-        ``dim`` is 1-based; ``dim = 0`` (or a 4-tuple) means unoriented.
+        ``dim`` is 1-based; ``dim = 0`` (or 4-tuples) means unoriented.
         ``sign`` is the sign of the edge at ``u``; the edge carries the
         opposite sign at ``v``.
         """
-        deg = [0] * n
-        for e in edges:
-            deg[e[0]] += 1
-            deg[e[1]] += 1
-        if delta is None:
-            delta = max(deg, default=0)
-        indptr = array("i", [0] * (n + 1))
-        for v in range(n):
-            indptr[v + 1] = indptr[v] + deg[v]
-        m2 = indptr[n]
-        nbr = array("i", [0] * m2)
-        my_port = array("b", [0] * m2)
-        nbr_port = array("b", [0] * m2)
-        dim_a = array("b", [0] * m2)
-        sign_a = array("b", [0] * m2)
-        fill = [0] * n
-        for e in edges:
-            if len(e) == 4:
-                u, v, pu, pv = e
-                d, s = 0, 0
-            else:
-                u, v, pu, pv, d, s = e
-            iu = indptr[u] + fill[u]
-            iv = indptr[v] + fill[v]
-            fill[u] += 1
-            fill[v] += 1
-            nbr[iu], my_port[iu], nbr_port[iu], dim_a[iu], sign_a[iu] = v, pu, pv, d, s
-            nbr[iv], my_port[iv], nbr_port[iv], dim_a[iv], sign_a[iv] = u, pv, pu, d, -s
-        g = cls(n, delta, indptr, nbr, my_port, nbr_port, dim_a, sign_a, meta)
-        g._sort_by_port()
+        try:
+            e = np.asarray(edges) if len(edges) else np.zeros((0, 4), np.int64)
+        except ValueError:  # rows of different lengths
+            e = None
+        if e is None or e.ndim != 2 or e.shape[1] not in (4, 6) or e.dtype.kind != "i":
+            raise InvalidInstanceError(
+                "edges must be integer rows (u, v, port_u, port_v[, dim, sign])")
+        return cls._from_columns(n, *e.T, delta=delta, meta=meta, validate=validate)
+
+    @classmethod
+    def _from_columns(cls, n, u, v, pu, pv, dim=None, sign=None,
+                      delta=None, meta=None, validate=True):
+        """The one CSR assembly behind every graph.
+
+        Takes one entry per edge (``sign`` as seen at ``u``), range-checks
+        every value before it is narrowed to int32/int8 storage, doubles the
+        edges into half-edges and orders them by ``(node, port)`` with one
+        stable argsort.  Generators emit the ``u`` halves and the ``v``
+        halves as two sorted runs, which the stable sort merges in linear
+        time.  ``delta`` defaults to the maximum degree.
+        """
+        n = _count(n, "n")
+        if n >= 2**31:
+            raise InvalidInstanceError("node count exceeds int32 storage")
+        node = np.concatenate([u, v])
+        if node.size and (node.min() < 0 or node.max() >= n):
+            raise InvalidInstanceError(f"edge endpoint outside [0, {n})")
+        deg = np.bincount(node, minlength=n)
+        delta = int(deg.max(initial=0)) if delta is None else _count(delta, "delta")
+        if delta > MAX_DELTA:
+            raise InvalidInstanceError(f"delta bounded to {MAX_DELTA}")
+        port = np.concatenate([pu, pv])
+        if port.size and (port.min() < 0 or port.max() >= max(delta, 1)):
+            raise InvalidInstanceError("port out of [0,delta)")
+        if dim is None:
+            dim = sign = np.zeros(len(u), np.int8)
+        if len(dim) and (dim.min() < 0 or dim.max() > MAX_DELTA // 2
+                         or sign.min() < -1 or sign.max() > 1):
+            raise InvalidInstanceError("orientation label out of range")
+        key = node.astype(np.int64)
+        key *= MAX_DELTA
+        key += port
+        order = np.argsort(key, kind="stable")
+        del key
+        indptr = np.zeros(n + 1, np.int64)
+        np.cumsum(deg, out=indptr[1:])
+        g = cls(n, delta, _store("i", indptr),
+                _store("i", np.concatenate([v, u])[order]),
+                _store("b", port[order]),
+                _store("b", np.concatenate([pv, pu])[order]),
+                _store("b", np.concatenate([dim, dim])[order]),
+                _store("b", np.concatenate([sign, -sign])[order]), meta)
         if validate:
             g.validate()
         return g
 
-    def _sort_by_port(self):
-        # half-edge slot order = own-port order, so "smallest port" scans
-        # are just slot order
-        for v in range(self.n):
-            lo, hi = self._indptr[v], self._indptr[v + 1]
-            if hi - lo <= 1:
-                continue
-            if all(self._my_port[i] < self._my_port[i + 1] for i in range(lo, hi - 1)):
-                continue
-            rows = sorted(range(lo, hi), key=lambda i: self._my_port[i])
-            for name in ("_nbr", "_my_port", "_nbr_port", "_dim", "_sign"):
-                arr = getattr(self, name)
-                vals = [arr[i] for i in rows]
-                for j, i in enumerate(range(lo, hi)):
-                    arr[i] = vals[j]
-
     # -- accessors ------------------------------------------------------
+
+    def csr(self):
+        """Zero-copy numpy views ``(indptr, nbr, my_port, nbr_port, dim,
+        sign)`` of the storage; half-edges are ordered by (node, port)."""
+        return tuple(np.frombuffer(a, a.typecode) for a in (
+            self._indptr, self._nbr, self._my_port, self._nbr_port,
+            self._dim, self._sign))
+
+    def edge_columns(self):
+        """``(u, v, port_u, port_v, dim, sign)`` arrays with one entry per
+        edge, ``u < v``, ordered by ``(u, port_u)``; ``sign`` as seen at u."""
+        indptr, nbr, my_port, nbr_port, dim, sign = self.csr()
+        src = np.repeat(np.arange(self.n, dtype=np.int32), np.diff(indptr))
+        keep = src < nbr
+        return (src[keep], nbr[keep], my_port[keep], nbr_port[keep],
+                dim[keep], sign[keep])
 
     def degree(self, v):
         return self._indptr[v + 1] - self._indptr[v]
@@ -147,7 +195,7 @@ class PortedGraph:
 
     @property
     def oriented(self):
-        return bool(self.meta.get("oriented")) or any(self._dim)
+        return bool(self.meta.get("oriented")) or bool(np.frombuffer(self._dim, "b").any())
 
     def orientation_at(self, v, u):
         """``(dim, sign)`` of edge {v,u} as seen at v, or ``None``."""
@@ -174,61 +222,55 @@ class PortedGraph:
     def edge_count(self):
         return self._indptr[self.n] // 2
 
+
     # -- invariants -----------------------------------------------------
 
     def validate(self):
-        """Full edge scan of the structural invariants; raises on violation."""
-        half_by_pair = {}
-        for v in range(self.n):
-            half = self.half_edges(v)
-            ports = [h[1] for h in half]
-            if len(set(ports)) != len(ports):
-                raise InvalidInstanceError(f"duplicate port at node {v}")
-            if any(p < 0 or p >= max(self.delta, 1) for p in ports):
-                raise InvalidInstanceError(f"port out of [0,delta) at node {v}")
-            if len(half) > self.delta:
-                raise InvalidInstanceError(f"degree of {v} exceeds delta")
-            nbrs = [h[0] for h in half]
-            if v in nbrs:
-                raise InvalidInstanceError(f"self-loop at {v}")
-            if len(set(nbrs)) != len(nbrs):
-                raise InvalidInstanceError(f"parallel edges at {v}")
-            dirs = set()
-            for u, mp, up, d, s in half:
-                half_by_pair[(v, u)] = (mp, up, d, s)
-                if d:
-                    if (d, s) in dirs:
-                        raise InvalidInstanceError(
-                            f"node {v} has two ({d},{s:+d}) edges")
-                    dirs.add((d, s))
-        for (v, u), (mp, up, d, s) in half_by_pair.items():
-            back = half_by_pair.get((u, v))
-            if back is None:
-                raise InvalidInstanceError(f"edge {v}-{u} missing at {u}")
-            bmp, bup, bd, bs = back
-            if bmp != up or bup != mp:
-                raise InvalidInstanceError(f"port mismatch on edge {v}-{u}")
-            if bd != d or (d and bs != -s):
-                raise InvalidInstanceError(f"orientation mismatch on edge {v}-{u}")
-        if self.n > 0 and len(bfs_distances(self, 0)) != self.n:
+        """Whole-array check of the structural invariants; raises
+        :class:`InvalidInstanceError` naming the first violation."""
+        indptr, nbr, port, nbr_port, dim, sign = self.csr()
+        deg = np.diff(indptr)
+        src = np.repeat(np.arange(self.n, dtype=np.int32), deg)
+        _reject_if((port < 0) | (port >= max(self.delta, 1)),
+                   "port out of [0,delta) at node {}", src)
+        # ports ascend within a node, so a repeat sits next to its twin
+        _reject_if((src[1:] == src[:-1]) & (port[1:] == port[:-1]),
+                   "duplicate port at node {}", src[1:])
+        _reject_if(deg > self.delta, "degree of {} exceeds delta")
+        _reject_if(nbr == src, "self-loop at {}", src)
+        pairs = np.sort(src.astype(np.int64) * max(self.n, 1) + nbr)
+        _reject_if(pairs[1:] == pairs[:-1], "parallel edges at {}",
+                   pairs[1:] // max(self.n, 1))
+        od = dim != 0
+        dirs = np.sort((src[od].astype(np.int64) << 16)
+                       | (dim[od].astype(np.int64) << 8)
+                       | (sign[od].astype(np.int64) & 0xff))
+        _reject_if(dirs[1:] == dirs[:-1], "node {} has two edges of one direction",
+                   dirs[1:] >> 16)
+        # the reverse of half-edge (v, port p) -> (u, port q) is u's port q
+        if src.size:
+            key = src.astype(np.int64) * MAX_DELTA + port
+            back = np.minimum(np.searchsorted(
+                key, nbr.astype(np.int64) * MAX_DELTA + nbr_port), key.size - 1)
+            _reject_if((src[back] != nbr) | (port[back] != nbr_port)
+                       | (nbr[back] != src) | (nbr_port[back] != port),
+                       "edge missing or port mismatch at node {}", src)
+            _reject_if((dim[back] != dim) | ((dim != 0) & (sign[back] != -sign)),
+                       "orientation mismatch at node {}", src)
+        if self.n > 0 and not _reaches_all(indptr, nbr, self.n):
             raise InvalidInstanceError("graph is not connected")
         return True
 
     # -- serialization --------------------------------------------------
 
     def to_json_obj(self):
-        edges = []
-        for v in range(self.n):
-            for u, mp, up, d, s in self.half_edges(v):
-                if v < u:
-                    edges.append([v, u, mp, up, d, s])
-        edges.sort()
+        rows = np.stack(self.edge_columns(), axis=1)
         return {
             "format": FORMAT_NAME,
             "version": FORMAT_VERSION,
             "n": self.n,
             "delta": self.delta,
-            "edges": edges,
+            "edges": rows[np.lexsort(rows.T[::-1])].tolist(),
             "meta": self.meta,
         }
 
@@ -240,15 +282,35 @@ class PortedGraph:
     def load(cls, path):
         with open(path) as fh:
             obj = json.load(fh)
+        if not isinstance(obj, dict):
+            raise InvalidInstanceError(f"{path}: not a JSON object")
         if obj.get("format") != FORMAT_NAME or obj.get("version") != FORMAT_VERSION:
             raise InvalidParameterError(f"not a {FORMAT_NAME} v{FORMAT_VERSION} file")
-        return cls.from_edges(obj["n"], [tuple(e) for e in obj["edges"]],
+        return cls.from_edges(obj["n"], obj["edges"],
                               delta=obj["delta"], meta=obj.get("meta"))
 
 
 def dumps_canonical(obj):
     """Canonical JSON used wherever a byte-stable re-save is promised."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _reaches_all(indptr, nbr, n):
+    """Level-synchronous frontier BFS from node 0 over CSR arrays."""
+    seen = np.zeros(n, bool)
+    seen[0] = True
+    frontier = np.zeros(1, np.int64)
+    while frontier.size:
+        lo = indptr[frontier]
+        cnt = indptr[frontier + 1] - lo
+        # slot ranges [lo, lo + cnt) of every frontier node, concatenated
+        idx = np.repeat(lo - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
+        nb = nbr[idx]
+        # sorted, then deduplicated (np.unique would pull in numpy.ma)
+        nb = np.sort(nb[~seen[nb]])
+        frontier = nb[np.diff(nb, prepend=-1) != 0]
+        seen[frontier] = True
+    return bool(seen.all())
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +373,36 @@ def _balanced_size(delta, radius):
     return n
 
 
+def _balanced_tree_columns(delta, radius, up_slot):
+    """Edge columns ``(parent, child, parent_slot, child_slot)`` of the
+    balanced tree of the given depth whose root has ``delta`` children and
+    every other interior node ``delta - 1``, built level by level with node
+    ids in breadth-first order.
+
+    A child hanging from its parent's slot ``s`` reaches the parent through
+    its own slot ``up_slot(s)``; every interior node hands its other slots
+    to its children in increasing order.
+    """
+    if delta > MAX_DELTA:
+        raise InvalidParameterError(f"delta bounded to {MAX_DELTA}")
+    if radius < 1:
+        raise InvalidParameterError("radius must be >= 1")
+    _check_size(_balanced_size(delta, radius))
+    slots = np.arange(delta, dtype=np.int8)
+    parents, parent_slots = [np.zeros(delta, np.int32)], [slots]
+    first = 1
+    for _ in range(1, radius):
+        up = up_slot(parent_slots[-1])
+        free = np.tile(slots, (up.size, 1))
+        parent_slots.append(free[free != up[:, None]])
+        parents.append(np.repeat(np.arange(first, first + up.size, dtype=np.int32),
+                                 delta - 1))
+        first += up.size
+    ps = np.concatenate(parent_slots)
+    return (np.concatenate(parents), np.arange(1, ps.size + 1, dtype=np.int32),
+            ps, up_slot(ps))
+
+
 def gen_regular_tree(delta, radius, meta=None):
     """Balanced delta-regular tree of the given depth with a consistent
     orientation over ``delta/2`` dimensions; ports equal direction slots.
@@ -322,75 +414,10 @@ def gen_regular_tree(delta, radius, meta=None):
     """
     if delta <= 0 or delta % 2 != 0:
         raise InvalidParameterError("delta must be a positive even integer")
-    if delta > MAX_DELTA:
-        raise InvalidParameterError(f"delta bounded to {MAX_DELTA}")
-    if radius < 1:
-        raise InvalidParameterError("radius must be >= 1")
-    n = _balanced_size(delta, radius)
-    _check_size(n)
-
-    parent = np.zeros(n, dtype=np.int32)
-    pdir = np.zeros(n, dtype=np.int8)  # direction slot at the parent
-    level_start = [0, 1]
-    parent[1:1 + delta] = 0
-    pdir[1:1 + delta] = np.arange(delta, dtype=np.int8)
-    size = delta
-    start = 1
-    for _ in range(1, radius):
-        level = np.arange(start, start + size, dtype=np.int32)
-        indir = pdir[level] ^ 1
-        dirs = np.tile(np.arange(delta, dtype=np.int8), (size, 1))
-        mask = dirs != indir[:, None]
-        child_dirs = dirs[mask]
-        parents_flat = np.repeat(level, delta - 1)
-        nxt_start = start + size
-        nxt_size = size * (delta - 1)
-        ids = np.arange(nxt_start, nxt_start + nxt_size, dtype=np.int32)
-        parent[ids] = parents_flat
-        pdir[ids] = child_dirs
-        start, size = nxt_start, nxt_size
-        level_start.append(start)
-    leaf_start = start
-
-    deg = np.full(n, delta, dtype=np.int64)
-    deg[leaf_start:] = 1
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(deg, out=indptr[1:])
-    m2 = int(indptr[n])
-    nbr = np.zeros(m2, dtype=np.int32)
-    my_port = np.zeros(m2, dtype=np.int8)
-    nbr_port = np.zeros(m2, dtype=np.int8)
-    dim_a = np.zeros(m2, dtype=np.int8)
-    sign_a = np.zeros(m2, dtype=np.int8)
-
-    u = np.arange(1, n, dtype=np.int64)
-    v = parent[u].astype(np.int64)
-    d = pdir[u].astype(np.int64)
-    slot_v = indptr[v] + d
-    rank_u = np.where(u >= leaf_start, 0, d ^ 1)
-    slot_u = indptr[u] + rank_u
-    dim_val = (d // 2 + 1).astype(np.int8)
-    sign_v = np.where(d % 2 == 0, 1, -1).astype(np.int8)
-    nbr[slot_v] = u
-    my_port[slot_v] = d
-    nbr_port[slot_v] = d ^ 1
-    dim_a[slot_v] = dim_val
-    sign_a[slot_v] = sign_v
-    nbr[slot_u] = v
-    my_port[slot_u] = d ^ 1
-    nbr_port[slot_u] = d
-    dim_a[slot_u] = dim_val
-    sign_a[slot_u] = -sign_v
-
-    return PortedGraph(
-        n, delta,
-        array("i", indptr.astype(np.int32).tobytes()),
-        array("i", nbr.tobytes()),
-        array("b", my_port.tobytes()),
-        array("b", nbr_port.tobytes()),
-        array("b", dim_a.tobytes()),
-        array("b", sign_a.tobytes()),
-        meta=dict(meta or {}, center=0, oriented=True))
+    parent, child, slot, up = _balanced_tree_columns(delta, radius, lambda s: s ^ 1)
+    return PortedGraph._from_columns(
+        child.size + 1, parent, child, slot, up, slot // 2 + 1, 1 - 2 * (slot % 2),
+        delta=delta, meta=dict(meta or {}, center=0, oriented=True), validate=False)
 
 
 def gen_balanced_tree(delta, radius, meta=None):
@@ -398,25 +425,10 @@ def gen_balanced_tree(delta, radius, meta=None):
     port 0 for non-root nodes, children in increasing port order."""
     if delta < 2:
         raise InvalidParameterError("delta must be >= 2")
-    if delta > MAX_DELTA:
-        raise InvalidParameterError(f"delta bounded to {MAX_DELTA}")
-    if radius < 1:
-        raise InvalidParameterError("radius must be >= 1")
-    _check_size(_balanced_size(delta, radius))
-    edges = []
-    frontier = [(0, 0)]  # (node, first free port)
-    next_id = 1
-    for _ in range(radius):
-        nxt = []
-        for v, port0 in frontier:
-            for p in range(port0, delta):
-                u = next_id
-                next_id += 1
-                edges.append((v, u, p, 0))
-                nxt.append((u, 1))
-        frontier = nxt
-    return PortedGraph.from_edges(next_id, edges, delta=delta,
-                                  meta=dict(meta or {}, center=0), validate=False)
+    parent, child, slot, up = _balanced_tree_columns(delta, radius, np.zeros_like)
+    return PortedGraph._from_columns(child.size + 1, parent, child, slot, up,
+                                     delta=delta, meta=dict(meta or {}, center=0),
+                                     validate=False)
 
 
 def gen_cycle(n, meta=None):
@@ -424,8 +436,10 @@ def gen_cycle(n, meta=None):
     if n < 3:
         raise InvalidParameterError("cycle needs n >= 3")
     _check_size(n)
-    edges = [(v, (v + 1) % n, 0, 1) for v in range(n)]
-    return PortedGraph.from_edges(n, edges, delta=2, meta=meta, validate=False)
+    v = np.arange(n, dtype=np.int32)
+    return PortedGraph._from_columns(n, v, (v + 1) % n, np.zeros(n, np.int8),
+                                     np.ones(n, np.int8), delta=2, meta=meta,
+                                     validate=False)
 
 
 def gen_symlower_pair(delta, r):
@@ -442,27 +456,17 @@ def gen_symlower_pair(delta, r):
     if r < 2:
         raise InvalidParameterError("r must be >= 2")
     t_graph = gen_balanced_tree(delta, r)
-    dist = bfs_distances(t_graph, 0)
-    moved = {}  # detached leaf -> host leaf
-    for u in range(t_graph.n):
-        if dist[u] != r - 1:
-            continue
-        kids = sorted((mp, w) for w, mp, _ in t_graph.neighbors(u) if dist[w] == r)
-        moved[kids[-1][1]] = kids[0][1]
-    edges = []
-    for v in range(t_graph.n):
-        for u, mp, up in t_graph.neighbors(v):
-            if v >= u:
-                continue
-            if u in moved and dist[u] == r:
-                continue
-            if v in moved and dist[v] == r:
-                continue
-            edges.append((v, u, mp, up))
-    for leaf, host in moved.items():
-        edges.append((host, leaf, 1, 0))
-    t_prime = PortedGraph.from_edges(t_graph.n, edges, delta=delta,
-                                     meta={"center": 0})
+    u, v, pu, pv, _, _ = t_graph.edge_columns()
+    # the edges to the leaves come last, delta - 1 per distance-(r-1) node,
+    # in port order
+    leaves = v[-delta * (delta - 1) ** (r - 1):].reshape(-1, delta - 1)
+    moved, host = leaves[:, -1], leaves[:, 0]
+    keep = ~np.isin(v, moved)
+    t_prime = PortedGraph._from_columns(
+        t_graph.n, np.concatenate([u[keep], host]), np.concatenate([v[keep], moved]),
+        np.concatenate([pu[keep], np.ones(moved.size, np.int8)]),
+        np.concatenate([pv[keep], np.zeros(moved.size, np.int8)]),
+        delta=delta, meta={"center": 0})
     return t_graph, t_prime, 0
 
 
@@ -470,13 +474,13 @@ def induced_subgraph(g, nodes):
     """Induced subgraph on ``nodes`` with compact ids; ports and orientation
     labels carry over.  Returns ``(subgraph, old-to-new id map)``."""
     order = sorted(nodes)
-    remap = {v: i for i, v in enumerate(order)}
-    edges = []
-    for v in order:
-        for u, mp, up, d, s in g.half_edges(v):
-            if u in remap and v < u:
-                edges.append((remap[v], remap[u], mp, up, d, s))
-    return PortedGraph.from_edges(len(order), edges, delta=g.delta), remap
+    new_id = np.full(g.n, -1, np.int64)
+    new_id[order] = np.arange(len(order))
+    u, v, *labels = g.edge_columns()
+    keep = (new_id[u] >= 0) & (new_id[v] >= 0)
+    sub = PortedGraph._from_columns(len(order), new_id[u[keep]], new_id[v[keep]],
+                                    *(col[keep] for col in labels), delta=g.delta)
+    return sub, {v: i for i, v in enumerate(order)}
 
 
 # ---------------------------------------------------------------------------
@@ -621,11 +625,8 @@ def plant_irregularities(base, spec):
     """
     center = base.meta.get("center", 0)
     if not spec:
-        return PortedGraph.from_edges(
-            base.n,
-            [(v, u, mp, up, d, s) for v in range(base.n)
-             for u, mp, up, d, s in base.half_edges(v) if v < u],
-            delta=base.delta, meta=base.meta)
+        return PortedGraph._from_columns(base.n, *base.edge_columns(),
+                                         delta=base.delta, meta=base.meta)
 
     dist = bfs_distances(base, center)
     depth = max(dist.values())

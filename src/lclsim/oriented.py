@@ -222,12 +222,6 @@ class NodeTable:
             table[key] = out
         return cls(delta=delta, t=t, b=b, c=c, table=table, name=name)
 
-    def pack(self, bits_by_path):
-        key = 0
-        for i, p in enumerate(self.positions):
-            key |= bits_by_path[p] << (i * self.b)
-        return key
-
 
 @dataclass
 class EdgeTable:
@@ -268,12 +262,6 @@ class EdgeTable:
                 table[key] = out
             tables[dim] = table
         return cls(delta=delta, t=t, b=b, labels=labels, tables=tables, name=name)
-
-    def pack(self, dim, bits_by_pos):
-        key = 0
-        for i, p in enumerate(self.positions(dim)):
-            key |= bits_by_pos[p] << (i * self.b)
-        return key
 
 
 # ---------------------------------------------------------------------------

@@ -144,14 +144,6 @@ def edge_local_failure(alg):
     return Fraction(int(prod.sum()), den)
 
 
-def exact_local_failure(alg):
-    if isinstance(alg, NodeTable):
-        return node_local_failure(alg)
-    if isinstance(alg, EdgeTable):
-        return edge_local_failure(alg)
-    raise InvalidInputError("expected a NodeTable or EdgeTable")
-
-
 # ---------------------------------------------------------------------------
 # Direction 1: node algorithm -> edge algorithm (one round faster)
 # ---------------------------------------------------------------------------

@@ -1,10 +1,9 @@
 import math
 from fractions import Fraction
 
-import mpmath
 import pytest
 
-from lclsim.bounds import (audit_chain, global_success_upper_bound,
+from lclsim.bounds import (global_success_upper_bound,
                            id_collision_bound, iterated_log2, log_star,
                            recurrence_bound, zero_round_optimum,
                            zero_round_optimum_grid)
@@ -52,16 +51,6 @@ def test_recurrence_examples():
     assert rb6.closed_form == (Fraction(1, 64) / 14) ** (7 ** 3)
     with pytest.raises(InvalidParameterError):
         recurrence_bound(0, Fraction(1, 2), 1)
-
-
-def test_audit_chain_dominates_closed_form():
-    c0, p0, t = 2, Fraction(1, 16), 1
-    _, p_seq = audit_chain(c0, p0, t, 4)
-    closed = recurrence_bound(c0, p0, t, 4).closed_form
-    with mpmath.workprec(256):
-        log_closed = closed.numerator and \
-            (mpmath.log(closed.numerator) - mpmath.log(closed.denominator))
-        assert mpmath.log(p_seq[-1]) >= log_closed
 
 
 def test_global_bound_values():

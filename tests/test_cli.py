@@ -1,7 +1,11 @@
 import json
 
+import pytest
+
+import lclsim.algorithms
+import lclsim.cli
 from lclsim.cli import main
-from lclsim.graph import PortedGraph, dumps_canonical
+from lclsim.graph import MAX_DELTA, PortedGraph, dumps_canonical
 
 
 def run_cli(argv):
@@ -153,3 +157,83 @@ def test_invalid_flags_exit_config(tmp_path, capsys):
     assert not (tmp_path / "s.json").exists()
     err = capsys.readouterr().err
     assert "--config needs" in err and "--c >= 2" in err and "b (random bits" in err
+
+
+PATH3 = {"format": "ported-graph", "version": 1, "n": 3, "delta": 2,
+         "edges": [[0, 1, 0, 0, 0, 0], [1, 2, 1, 0, 0, 0]], "meta": {}}
+
+
+@pytest.mark.parametrize("obj", [
+    [PATH3],                                                          # JSON list
+    dict(PATH3, edges=[[0, 1, 0, 0, 0, 0], [1, 3, 1, 0, 0, 0]]),      # endpoint >= n
+    dict(PATH3, edges=[[0, 1, 0, 0, 0, 0], [1, 2, 1, 128, 0, 0]]),    # port >= 128
+    dict(PATH3, delta=MAX_DELTA + 1),                                 # delta > MAX_DELTA
+], ids=["list", "endpoint", "port", "delta"])
+def test_malformed_graph_file_exits_config(tmp_path, capsys, obj):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    assert run_cli(["run", "--algorithm", "solve-pointers", "--graph", str(bad),
+                    "--out", str(tmp_path / "o.json")]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_dump_stages_reads_the_single_pipeline_run(tmp_path, monkeypatch):
+    calls = []
+    real = lclsim.algorithms.weak_to_weak2c
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (lclsim.algorithms, lclsim.cli):
+        monkeypatch.setattr(module, "weak_to_weak2c", counted)
+    tree = tmp_path / "tree.json"
+    run_cli(["gen", "regular-tree", "--delta", "4", "--radius", "3",
+             "--out", str(tree)])
+    out = tmp_path / "w.json"
+    assert run_cli(["run", "--algorithm", "weak-family-to-weak2", "--graph", str(tree),
+                    "--k", "2", "--c", "3", "--seed", "7", "--dump-stages",
+                    "--out", str(out)]) == 0
+    assert len(calls) == 1
+    obj = json.loads(out.read_text())
+    stages = obj["stages"]
+    assert set(stages) == {"input", "recolored", "pseudoforest_ports",
+                           "three_coloring", "independent_set"}
+    assert stages["independent_set"] == obj["labels"]
+    assert set(stages["three_coloring"].values()) <= {1, 2, 3}
+    assert set(stages["recolored"].values()) <= set(range(1, 7))
+
+
+def test_speedup_goodness_failure_exits_verification(tmp_path, monkeypatch, capsys):
+    real = lclsim.cli.verify_speedup_inequality
+
+    def goodness_fails(*args, **kwargs):
+        report = real(*args, **kwargs)
+        report.goodness_holds = False
+        return report
+
+    monkeypatch.setattr(lclsim.cli, "verify_speedup_inequality", goodness_fails)
+    out = tmp_path / "s.json"
+    assert run_cli(["speedup", "--direction", "1", "--grid", "3",
+                    "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["inequality_holds"] is True
+    assert "goodness bound VIOLATED" in capsys.readouterr().out
+
+
+def test_speedup_direction2_default_source(tmp_path):
+    out = tmp_path / "s.json"
+    assert run_cli(["speedup", "--direction", "2", "--grid", "3",
+                    "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["source"] == "endpoint-xor"
+
+
+def test_config_with_other_flags_rejected(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(dumps_canonical({"version": 1, "command": "gen cycle", "n": 6,
+                                    "out": str(tmp_path / "c.json")}))
+    assert run_cli(["--config", str(cfg), "gen", "cycle", "--n", "9"]) == 2
+    assert run_cli(["gen", "cycle", "--n", "9", "--config", str(cfg)]) == 2
+    assert run_cli([f"--config={cfg}", "gen", "cycle", "--n", "9",
+                    "--out", str(tmp_path / "c.json")]) == 2
+    assert not (tmp_path / "c.json").exists()
+    assert "--config replaces the command line" in capsys.readouterr().err

@@ -9,12 +9,11 @@ stage (a stage needing information from distance d costs d rounds).
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass, field
 
 from .engine import run_node_algorithm
 from .errors import InvalidInputError, PSolverViolation
-from .graph import Irregularity, ball_irregularities
+from .graph import CycleIndex
 from .problems import HomogeneousLabel, PointerLabel, verify_weak_coloring
 
 
@@ -202,11 +201,11 @@ def weak_family_to_weak2(g, phi, k, c, validate=True):
 # ---------------------------------------------------------------------------
 
 
-def _tree_irregularity_map(g, ids):
-    """On trees the only irregularities are low-degree nodes: one
-    multi-source lexicographic Dijkstra from all of them gives every node
-    its preferred target (distance, then degree, then identifier), the
-    distance, and the next hop.  Matches the per-node ball scan exactly."""
+def _low_degree_map(g, ids):
+    """One multi-source lexicographic Dijkstra from all low-degree nodes
+    gives every node its preferred low-degree target (distance, then degree,
+    then identifier; None if there is none), the distance, and a neighbor
+    one step closer to the target.  Matches the per-node ball scan exactly."""
     INF = None
     target = [INF] * g.n
     dist = [0] * g.n
@@ -229,97 +228,84 @@ def _tree_irregularity_map(g, ids):
     return target, dist, pred
 
 
-def _solver_irregularity(g, v, r, ids, cycle_cache):
-    """The target preference the constructive solver follows:
-    a low-degree node is its own irregularity, and full-degree nodes prefer
-    any cycle in range over any low-degree node.  (Chain consistency needs
-    every cycle member to aim at a cycle: a member sitting closer to a leaf
-    than its own cycle's detour term would otherwise break the shared
-    degree guess.)
+def _ids(g, assignment):
+    if assignment is None or assignment.ids is None:
+        raise InvalidInputError("pointer solving needs identifiers")
+    return [assignment.ids[v] for v in range(g.n)]
+
+
+def _first_neighbor(g, v, closer):
+    """Smallest-port neighbor of v for which ``closer`` holds."""
+    for w in g.adjacent(v):
+        if closer(w):
+            return w
+    raise InvalidInputError(f"no descent from {v} toward its target")
+
+
+def _pointer_labels(g, r, ids, low, cycles):
+    """Labels of the constructive case analysis at radius r, from the
+    low-degree map ``low`` and a :class:`CycleIndex` that is exact up to r at every full-degree node.
+
+    Low-degree nodes label themselves.  A full-degree node prefers its best
+    cycle within effective distance r over any low-degree node, and
+    otherwise the closest low-degree node within r; with neither it stays
+    unlabeled.  (Chain consistency needs every cycle member to aim at a
+    cycle: a member sitting closer to a leaf than its own cycle's detour
+    term would otherwise break the shared degree guess.)  Cycle members
+    follow the orientation fixed by the cycle's smallest-identifier node
+    pointing toward its smaller cycle neighbor.  Everyone else points to
+    its smallest-port neighbor one step closer to its target, guessing the
+    target's degree unless some node further along prefers a cycle, in
+    which case the guess is 0.  Distances to a cycle count full-degree
+    paths only, so a chain toward a cycle never meets a low-degree node.
     """
-    if g.degree(v) < g.delta:
-        return Irregularity("low-degree", v, 0)
-    low, cyc = ball_irregularities(g, v, r, ids=ids, _cycle_cache=cycle_cache)
-    if cyc is not None:
-        return cyc[1]
-    return low[1] if low else None
+    target, dist, _ = low
+    best = cycles.best
+
+    def cycle_of(v):
+        b = best[v]
+        return b if b is not None and b[0] <= r else None
+
+    labels = {}
+    successors = {}       # canonical cycle -> its successor map
+    zero_ahead = {}       # low-degree chains: a cycle-preferring node lies ahead
+    # increasing distance: a chain's next node is settled before its tail
+    for v in sorted(range(g.n), key=dist.__getitem__):
+        if g.degree(v) < g.delta:
+            labels[v] = PointerLabel(d=g.degree(v), port=None)
+            continue
+        b = cycle_of(v)
+        if b is not None:
+            eff, key = b
+            cyc = key[2]
+            if cyc not in successors:
+                successors[cyc] = _cycle_successor(cyc, ids)
+            succ = successors[cyc]
+            w = succ[v] if v in succ else _first_neighbor(
+                g, v, lambda w: best[w] == (eff - 1, key))
+            labels[v] = PointerLabel(d=0, port=g.port_toward(v, w))
+        elif target[v] is not None and dist[v] <= r:
+            u, d = target[v], dist[v]
+            w = _first_neighbor(g, v, lambda w: target[w] == u and dist[w] == d - 1)
+            zero_ahead[v] = cycle_of(w) is not None or zero_ahead.get(w, False)
+            labels[v] = PointerLabel(d=0 if zero_ahead[v] else g.degree(u),
+                                     port=g.port_toward(v, w))
+    return labels
 
 
 def solve_pointer_labeling_local(g, r, assignment):
     """Label the 1-neighborhoods of all nodes that see an irregularity
-    within effective distance r; other nodes stay unlabeled.
-
-    Implements the constructive case analysis: low-degree nodes label
-    themselves; cycle members follow the orientation fixed by the cycle's
-    smallest-identifier node pointing toward its smaller cycle neighbor;
-    everyone else points along the (smallest-port) shortest path to its
-    preferred irregularity, guessing the target degree unless some node on
-    that path prefers a cycle, in which case the guess is 0.  Needs
-    identifiers; gathers radius r plus another r of look-ahead.
+    within effective distance r; other nodes stay unlabeled.  The case
+    analysis is that of :func:`_pointer_labels`.  Needs identifiers;
+    gathers radius r plus another r of look-ahead.
     """
-    if assignment is None or assignment.ids is None:
-        raise InvalidInputError("pointer solving needs identifiers")
-    ids = [assignment.ids[v] for v in range(g.n)]
-
+    ids = _ids(g, assignment)
+    low = _low_degree_map(g, ids)
     if g.edge_count() == g.n - 1:
-        return _solve_pointer_tree(g, r, ids)[0]
-
-    cycle_cache = {}
-    irr = {v: _solver_irregularity(g, v, r, ids, cycle_cache)
-           for v in range(g.n)}
-    dist_maps = {}
-
-    def dist_map(key, sources):
-        if key not in dist_maps:
-            d = {}
-            q = deque()
-            for s in sources:
-                d[s] = 0
-                q.append(s)
-            while q:
-                x = q.popleft()
-                if d[x] > r:  # paths toward a preferred target stay within r
-                    continue
-                for w in g.adjacent(x):
-                    if w not in d:
-                        d[w] = d[x] + 1
-                        q.append(w)
-            dist_maps[key] = d
-        return dist_maps[key]
-
-    def next_hop(v, key, sources):
-        dm = dist_map(key, sources)
-        for w, mp, _ in g.neighbors(v):
-            if dm.get(w, -1) == dm[v] - 1:
-                return w
-        raise InvalidInputError(f"no descent from {v} toward {key}")
-
-    labels = {}
-    for v in range(g.n):
-        what = irr[v]
-        if what is None:
-            continue
-        if g.degree(v) < g.delta:
-            labels[v] = PointerLabel(d=g.degree(v), port=None)
-            continue
-        if what.kind == "cycle":
-            cyc = what.location
-            if v in cyc:
-                succ = _cycle_successor(cyc, ids)[v]
-                labels[v] = PointerLabel(d=0, port=g.port_toward(v, succ))
-            else:
-                w = next_hop(v, ("cycle", cyc), cyc)
-                labels[v] = PointerLabel(d=0, port=g.port_toward(v, w))
-            continue
-        u = what.location
-        path = [v]
-        while path[-1] != u:
-            path.append(next_hop(path[-1], ("node", u), (u,)))
-        cycle_on_path = any(
-            irr[w] is not None and irr[w].kind == "cycle" for w in path[1:])
-        guess = 0 if cycle_on_path else g.degree(u)
-        labels[v] = PointerLabel(d=guess, port=g.port_toward(v, path[1]))
-    return labels
+        return _tree_labels(g, r, low)
+    cycles = CycleIndex(g, ids)
+    cycles.require({v: r for v in range(g.n) if cycles.full[v]})
+    return _pointer_labels(g, r, ids, low, cycles)
 
 
 def _cycle_successor(cyc, ids):
@@ -336,10 +322,10 @@ def _cycle_successor(cyc, ids):
     return succ
 
 
-def _solve_pointer_tree(g, r, ids):
-    """Labels of the nodes within distance r of their target, and the
-    largest distance to a target."""
-    target, dist, pred = _tree_irregularity_map(g, ids)
+def _tree_labels(g, r, low):
+    """Labels of the nodes within distance r of their target, from the
+    low-degree map of a tree."""
+    target, dist, pred = low
     labels = {}
     for v in range(g.n):
         if dist[v] > r:
@@ -349,45 +335,50 @@ def _solve_pointer_tree(g, r, ids):
         else:
             labels[v] = PointerLabel(d=g.degree(target[v]),
                                      port=g.port_toward(v, pred[v]))
-    return labels, max(dist)
+    return labels
 
 
-def solve_pointer_labeling(g, assignment):
-    """Total pointer labeling: find the smallest radius at which every node
-    sees an irregularity (doubling, then binary refinement), label at that
-    radius.  Returns (labels, rounds) with rounds = the final radius."""
-    if assignment is None or assignment.ids is None:
-        raise InvalidInputError("pointer solving needs identifiers")
-    ids = [assignment.ids[v] for v in range(g.n)]
-
+def solve_pointer_labeling(g, assignment, metrics=None):
+    """Total pointer labeling at the smallest radius at which every node
+    sees an irregularity: the largest over all nodes of the smallest
+    effective distance of an irregularity.  Returns (labels, rounds) with
+    rounds = that radius.  On cyclic graphs one :class:`CycleIndex` serves
+    the radius and the labels.  A ``metrics`` dict receives the radius and
+    the cycle search's work counts."""
+    ids = _ids(g, assignment)
+    low = target, dist, _ = _low_degree_map(g, ids)
+    cycles = None
     if g.edge_count() == g.n - 1:
-        return _solve_pointer_tree(g, float("inf"), ids)
-
-    # grow the radius until every node sees an irregularity; an irregularity
-    # found at radius r has globally minimal effective distance, so the
-    # final radius is exactly the largest of those distances
-    cycle_cache = {}
-    eff = {}
-    pending = set(range(g.n))
-    r = 1
-    while pending:
-        for v in list(pending):
-            low, cyc = ball_irregularities(g, v, r, ids=ids,
-                                           _cycle_cache=cycle_cache)
-            dists = [x[1].effective_distance for x in (low, cyc) if x]
-            if dists:
-                eff[v] = min(dists)
-                pending.discard(v)
-        if pending:
-            r *= 2
-            if r > 4 * g.n:
-                raise InvalidInputError("no irregularity in range; is the graph finite?")
-    r_star = max(eff.values())
-    labels = solve_pointer_labeling_local(g, r_star, assignment)
+        rounds = max(dist)
+    else:
+        cycles = CycleIndex(g, ids)
+        full = [v for v in range(g.n) if cycles.full[v]]
+        # a cycle moves a node's smallest effective distance only where it
+        # beats the closest low-degree node
+        unbounded = 2 * g.n
+        cycles.require({v: unbounded if target[v] is None else dist[v] - 1
+                        for v in full})
+        rounds = 0
+        for v in full:
+            b = cycles.best[v]
+            near = min(unbounded if b is None else b[0],
+                       unbounded if target[v] is None else dist[v])
+            if near == unbounded:
+                raise InvalidInputError(f"node {v} sees no irregularity")
+            rounds = max(rounds, near)
+        cycles.require({v: rounds for v in full})
+    if cycles is None:
+        labels = _tree_labels(g, rounds, low)
+    else:
+        labels = _pointer_labels(g, rounds, ids, low, cycles)
     missing = [v for v in range(g.n) if v not in labels]
     if missing:
-        raise InvalidInputError(f"nodes {missing[:5]} still unlabeled at r={r_star}")
-    return labels, r_star
+        raise InvalidInputError(f"nodes {missing[:5]} still unlabeled at r={rounds}")
+    if metrics is not None:
+        metrics.update(radius=rounds,
+                       cycle_search_passes=cycles.passes if cycles else 0,
+                       cycles_enumerated=len(cycles.keys) if cycles else 0)
+    return labels, rounds
 
 
 def pointer_terminal_degrees(g, start):

@@ -4,7 +4,8 @@ Subcommands: ``gen`` (graph files), ``run`` (algorithms + matching
 verifier), ``speedup`` (inequality reports), ``bounds`` (calculator
 tables).  Every command is deterministic given its arguments and seed;
 JSON outputs carry a provenance block with the tool version, the seed and
-a hash of the resolved configuration.
+a hash of the resolved configuration; ``run --algorithm solve-pointers``
+adds a ``metrics`` block with the pointer solver's work counts.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 exact-enumeration budget exceeded.
@@ -140,10 +141,27 @@ def random_valid_weak_coloring(g, c, k, seed, repair_passes=20):
     raise InvalidInputError("could not build a valid weak coloring")
 
 
-def _load_coloring(path):
+def _load_coloring(path, n):
+    """A coloring file: one JSON object mapping every node (its id as a
+    string) to a color."""
     with open(path) as fh:
         raw = json.load(fh)
-    return {int(v): col for v, col in raw.items()}
+    if not isinstance(raw, dict):
+        raise InvalidInputError(
+            f"coloring file {path} must hold a JSON object mapping nodes to colors")
+    phi = {}
+    for key, col in raw.items():
+        try:
+            v = int(key)
+        except ValueError:
+            raise InvalidInputError(f"coloring file {path} names no node {key!r}") from None
+        if not 0 <= v < n:
+            raise InvalidInputError(f"coloring file {path} names node {v}, outside 0..{n - 1}")
+        phi[v] = col
+    missing = [v for v in range(n) if v not in phi]
+    if missing:
+        raise InvalidInputError(f"coloring file {path} gives no color for node {missing[0]}")
+    return phi
 
 
 def cmd_run(args):
@@ -152,7 +170,7 @@ def cmd_run(args):
 
     if args.algorithm in ("weak-family-to-weak2", "weak-to-weak2c"):
         if args.coloring:
-            phi = _load_coloring(args.coloring)
+            phi = _load_coloring(args.coloring, g.n)
         else:
             phi = random_valid_weak_coloring(g, args.c, args.k, args.seed)
         if args.algorithm == "weak-to-weak2c":
@@ -177,11 +195,12 @@ def cmd_run(args):
             problem = "weak-2-coloring"
     elif args.algorithm == "solve-pointers":
         a = Assignment.random(g, b=1, seed=args.seed, with_ids=True)
-        labels, rounds = solve_pointer_labeling(g, a)
+        metrics = {}
+        labels, rounds = solve_pointer_labeling(g, a, metrics=metrics)
         results = verify_pointer_labeling(g, labels, g.delta)
         payload = {"labels": {str(v): {"d": lab.d, "port": lab.port}
                               for v, lab in labels.items()},
-                   "rounds": rounds}
+                   "rounds": rounds, "metrics": metrics}
         problem = "pointer-labeling"
     elif args.algorithm == "solve-pointers-local":
         a = Assignment.random(g, b=1, seed=args.seed, with_ids=True)

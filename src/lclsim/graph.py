@@ -18,6 +18,7 @@ validation, serialization and the generators work whole-array.
 
 from __future__ import annotations
 
+import heapq
 import json
 from array import array
 from collections import deque
@@ -506,56 +507,172 @@ def cycle_detour(length):
 
 
 def canonical_cycle(nodes):
-    """Rotation/reflection-canonical tuple for a cyclic node sequence."""
-    k = len(nodes)
-    best = None
+    """Rotation/reflection-canonical tuple of a cycle's distinct nodes (the
+    smallest of all its rotations and reflections): it starts at the
+    smallest node and continues toward that node's smaller cycle neighbor."""
     seq = list(nodes)
-    for direction in (seq, seq[::-1]):
-        for s in range(k):
-            cand = tuple(direction[s:] + direction[:s])
-            if best is None or cand < best:
-                best = cand
-    return best
+    i = seq.index(min(seq))
+    seq = seq[i:] + seq[:i]
+    if len(seq) > 2 and seq[-1] < seq[1]:
+        seq[1:] = seq[:0:-1]
+    return tuple(seq)
 
 
-def _full_degree_cycles(g, nodes, max_len):
-    """All simple cycles of full-degree nodes within ``nodes``, as canonical
-    tuples.  DFS anchored at each cycle's smallest node; traversal restricted
-    to degree-delta nodes keeps this cheap on bounded-degree balls."""
-    full = sorted(v for v in nodes if g.degree(v) == g.delta)
-    full_set = set(full)
-    cycles = set()
-    for start in full:
-        stack = [(start, [start])]
+def _simple_cycles(adj, lo, hi, anchors):
+    """Simple cycles of ``lo..hi`` nodes through ``anchors`` (a set) in the
+    graph with adjacency lists ``adj``, as node lists.
+
+    Each cycle comes out once: from its smallest anchor, in the direction
+    whose second node is smaller than its last.  A path only steps to nodes
+    whose BFS distance back to the anchor fits in the length left, so the
+    search stays within the cycles that can still close.
+    """
+    lo = max(lo, 3)
+    out = []
+    for s in sorted(anchors):
+        # distances from s over the nodes a cycle anchored at s may use
+        dist = {s: 0}
+        frontier = [s]
+        for d in range(1, hi // 2 + 1):
+            nxt = []
+            for x in frontier:
+                for u in adj[x]:
+                    if u not in dist and (u > s or u not in anchors):
+                        dist[u] = d
+                        nxt.append(u)
+            frontier = nxt
+        path = [s]
+        on_path = {s}
+        stack = [iter(adj[s])]
+        left = hi - 1             # edges the cycle has left after one more step
         while stack:
-            v, path = stack.pop()
-            for u in g.adjacent(v):
-                if u not in full_set or u < start:
-                    continue
-                if u == start and len(path) >= 3 and len(path) <= max_len:
-                    cycles.add(canonical_cycle(path))
-                    continue
-                if u in path or len(path) >= max_len:
-                    continue
-                stack.append((u, path + [u]))
-    return cycles
+            for u in stack[-1]:
+                if u == s:
+                    if len(path) >= lo and path[1] < path[-1]:
+                        out.append(path.copy())
+                elif dist.get(u, hi) <= left and u not in on_path:
+                    path.append(u)
+                    on_path.add(u)
+                    stack.append(iter(adj[u]))
+                    left -= 1
+                    break
+            else:
+                stack.pop()
+                on_path.discard(path.pop())
+                left += 1
+    return out
 
 
-def _cycles_in_ball(g, dist, max_len, cache=None):
-    nodes = set(dist)
-    m = sum(1 for v in nodes for u in g.adjacent(v) if u in nodes and u < v)
-    if m < len(nodes):  # the ball is a tree
+class CycleIndex:
+    """Every node's best full-degree cycle, from one cycle enumeration
+    shared by all nodes and all radii.
+
+    The key of a cycle C at node v is ``(effective distance, max identifier,
+    sorted identifiers, canonical tuple)``, the effective distance being
+    ``dist(v, C) + cycle_detour(|C|)``, the distance measured over
+    full-degree nodes only; low-degree nodes get no cycle.  ``best[v]`` is
+    the smallest key found so far, as ``(effective distance, (max id,
+    sorted ids, canonical tuple))``, kept by a multi-source BFS from the
+    nodes of the indexed cycles.
+
+    ``require(caps)`` makes ``best[v]`` exact among the cycles of effective
+    distance <= ``caps[v]``.  It enumerates cycles by increasing length, and
+    only where one can still win: a cycle of length L matters at v only if
+    it passes within ``min(caps[v], best so far) - cycle_detour(L)`` of v.
+    A length that yields no new cycle doubles the stride to the next one,
+    so a long girth costs logarithmically many passes.
+    """
+
+    def __init__(self, g, ids):
+        self.ids = ids
+        self.full = [g.degree(v) == g.delta for v in range(g.n)]
+        self.adj = [[u for u in g.adjacent(v) if self.full[u]] if self.full[v] else []
+                    for v in range(g.n)]
+        self.best = [None] * g.n
+        self.keys = {}            # canonical tuple -> cycle key
+        self.reach = [2] * g.n    # every cycle of <= reach[v] nodes through v is indexed
+        self.cap = [-1] * g.n     # best[v] is exact up to this effective distance
+        self.passes = 0           # enumeration passes made
+
+    def require(self, caps):
+        """Make ``best[v]`` exact among the cycles of effective distance
+        <= ``cap`` for every ``v: cap`` in the mapping ``caps``."""
+        caps = {v: c for v, c in caps.items() if c > self.cap[v]}
+        longest = sum(self.full)
+        length, stride = 3, 1
+        while caps and length <= longest:
+            budget = {}
+            for v, c in caps.items():
+                b = self.best[v]
+                left = (c if b is None else min(c, b[0])) - cycle_detour(length)
+                if left >= 0:
+                    budget[v] = left
+            if not budget:
+                break
+            hi = min(length + stride - 1, longest)
+            anchors = {s for s in self._near(budget) if self.reach[s] < hi}
+            new = self._add(_simple_cycles(self.adj, length, hi, anchors))
+            for s in anchors:
+                self.reach[s] = hi
+            self.passes += 1
+            stride = 1 if new else 2 * stride
+            length = hi + 1
+        for v, c in caps.items():
+            self.cap[v] = c
+
+    def _near(self, budget):
+        """Full-degree nodes within ``budget[v]`` steps of some node v."""
+        levels = [[] for _ in range(max(budget.values()) + 1)]
+        for v, b in budget.items():
+            levels[b].append(v)
+        seen = set()
+        for b in range(len(levels) - 1, -1, -1):
+            for v in levels[b]:
+                if v not in seen:
+                    seen.add(v)
+                    if b:
+                        levels[b - 1].extend(self.adj[v])
+        return {v for v in seen if self.full[v]}
+
+    def _add(self, cycles):
+        """Index the new cycles among ``cycles`` and propagate their keys;
+        returns how many were new."""
+        best, adj = self.best, self.adj
+        heap = []
+        before = len(self.keys)
+        for nodes in cycles:
+            canon = canonical_cycle(nodes)
+            if canon in self.keys:
+                continue
+            sorted_ids = tuple(sorted(self.ids[u] for u in nodes))
+            key = self.keys[canon] = (sorted_ids[-1], sorted_ids, canon)
+            entry = (cycle_detour(len(nodes)), key)
+            for u in nodes:
+                if best[u] is None or entry < best[u]:
+                    best[u] = entry
+                    heap.append(entry + (u,))
+        heapq.heapify(heap)
+        while heap:
+            eff, key, x = heapq.heappop(heap)
+            if best[x] != (eff, key):
+                continue
+            entry = (eff + 1, key)
+            for w in adj[x]:
+                if best[w] is None or entry < best[w]:
+                    best[w] = entry
+                    heapq.heappush(heap, entry + (w,))
+        return len(self.keys) - before
+
+
+def _cycles_in_ball(g, dist, r):
+    """Canonical tuples of the full-degree cycles inside the radius-r ball
+    with BFS distances ``dist`` (a longer cycle cannot lie inside it)."""
+    m = sum(1 for v in dist for u in g.adjacent(v) if u in dist and u < v)
+    if m < len(dist):  # the ball is a tree
         return ()
-    key = None
-    if cache is not None:
-        key = (frozenset(nodes), max_len)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-    cycles = tuple(_full_degree_cycles(g, nodes, max_len))
-    if cache is not None:
-        cache[key] = cycles
-    return cycles
+    full = {u for u in dist if g.degree(u) == g.delta}
+    adj = {u: [w for w in g.adjacent(u) if w in full] for u in full}
+    return [canonical_cycle(c) for c in _simple_cycles(adj, 3, 2 * r, full)]
 
 
 def ball_irregularities(g, v, r, ids=None, _cycle_cache=None):
@@ -563,7 +680,9 @@ def ball_irregularities(g, v, r, ids=None, _cycle_cache=None):
     effective distance r of v, as ``(key, Irregularity)`` pairs (or None).
 
     Low-degree keys order by (distance, degree, identifier); cycle keys by
-    (effective distance, maximum identifier, identifier sequence).
+    (effective distance, maximum identifier, identifier sequence), and the
+    canonical tuple breaks what ties remain.  The cycles come from a search
+    of the ball; ``_cycle_cache`` is accepted and ignored.
     """
     if ids is None:
         ids = range(g.n)
@@ -574,17 +693,18 @@ def ball_irregularities(g, v, r, ids=None, _cycle_cache=None):
             key = (d, g.degree(u), ids[u])
             if low is None or key < low[0]:
                 low = (key, Irregularity("low-degree", u, d))
-    best_cycle = None
     # a qualifying cycle lies entirely inside the ball: its farthest node is
     # at most min-dist + floor(|C|/2) <= r from v
-    for cyc in _cycles_in_ball(g, dist, 2 * r, _cycle_cache):
+    candidates = []
+    for cyc in _cycles_in_ball(g, dist, r):
         eff = min(dist[u] for u in cyc) + cycle_detour(len(cyc))
         if eff <= r:
-            key = (eff, max(ids[u] for u in cyc),
-                   tuple(sorted(ids[u] for u in cyc)))
-            if best_cycle is None or key < best_cycle[0]:
-                best_cycle = (key, Irregularity("cycle", cyc, eff))
-    return low, best_cycle
+            ids_in = sorted(ids[u] for u in cyc)
+            candidates.append(((eff, ids_in[-1], tuple(ids_in)), cyc))
+    if not candidates:
+        return low, None
+    key, cyc = min(candidates)
+    return low, (key, Irregularity("cycle", cyc, key[0]))
 
 
 def closest_irregularity(g, v, r, ids=None, _cycle_cache=None):

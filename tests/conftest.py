@@ -99,3 +99,44 @@ def relabeled(g, seed):
             if v < u:
                 edges.append((perm[v], perm[u], mp, up, d, s))
     return PortedGraph.from_edges(g.n, edges, delta=g.delta), perm
+
+
+def near_regular_graph(n, rng):
+    """4-regular simple graph made from two random Hamiltonian cycles, with
+    one random edge removed (so exactly two nodes have degree 3); each
+    node's ports are a random permutation of ``range(degree)``.  Draws from
+    ``rng`` in a fixed order, so one seed always gives one graph."""
+    while True:
+        seen = set()
+        pairs = []
+        for _ in range(2):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for i in range(n):
+                key = edge_key(perm[i], perm[(i + 1) % n])
+                if key in seen:
+                    break
+                seen.add(key)
+                pairs.append(key)
+        if len(pairs) == 2 * n:
+            pairs.pop(rng.randrange(len(pairs)))
+            break
+    incident = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(pairs):
+        incident[u].append(i)
+        incident[v].append(i)
+    port = {}
+    for v in range(n):
+        ports = list(range(len(incident[v])))
+        rng.shuffle(ports)
+        for i, p in zip(incident[v], ports):
+            port[(i, v)] = p
+    edges = [(u, v, port[(i, u)], port[(i, v)]) for i, (u, v) in enumerate(pairs)]
+    return PortedGraph.from_edges(n, edges, delta=4)
+
+
+def brute_canonical_cycle(nodes):
+    """Canonical tuple of a cycle by brute force: the smallest of all its
+    rotations and reflections."""
+    seq = list(nodes)
+    return min(tuple(d[s:] + d[:s]) for d in (seq, seq[::-1]) for s in range(len(seq)))

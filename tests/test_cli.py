@@ -177,6 +177,34 @@ def test_malformed_graph_file_exits_config(tmp_path, capsys, obj):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("coloring,message", [
+    ([1, 2], "must hold a JSON object"),
+    ({"0": 1}, "no color for node 1"),
+    ({"x": 1}, "names no node 'x'"),
+    ({str(v): 1 for v in range(18)}, "names node 17, outside 0..16"),
+], ids=["list", "missing-node", "non-integer", "outside"])
+def test_malformed_coloring_file_exits_config(tmp_path, capsys, coloring, message):
+    tree = tmp_path / "tree.json"
+    run_cli(["gen", "regular-tree", "--delta", "4", "--radius", "2", "--out", str(tree)])
+    col = tmp_path / "col.json"
+    col.write_text(json.dumps(coloring))
+    assert run_cli(["run", "--algorithm", "weak-family-to-weak2", "--graph", str(tree),
+                    "--coloring", str(col), "--out", str(tmp_path / "o.json")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and str(col) in err
+
+
+def test_solve_pointers_reports_metrics(tmp_path):
+    ring = tmp_path / "c.json"
+    run_cli(["gen", "cycle", "--n", "9", "--out", str(ring)])
+    out = tmp_path / "p.json"
+    argv = ["run", "--algorithm", "solve-pointers", "--graph", str(ring), "--out", str(out)]
+    assert run_cli(argv) == 0
+    obj = json.loads(out.read_text())
+    assert obj["metrics"] == {"radius": 5, "cycle_search_passes": 3, "cycles_enumerated": 1}
+    assert obj["rounds"] == 5
+
+
 def test_dump_stages_reads_the_single_pipeline_run(tmp_path, monkeypatch):
     calls = []
     real = lclsim.algorithms.weak_to_weak2c

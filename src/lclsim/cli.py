@@ -5,7 +5,8 @@ verifier), ``speedup`` (inequality reports), ``bounds`` (calculator
 tables).  Every command is deterministic given its arguments and seed;
 JSON outputs carry a provenance block with the tool version, the seed and
 a hash of the resolved configuration; ``run --algorithm solve-pointers``
-adds a ``metrics`` block with the pointer solver's work counts.
+and ``speedup`` add a ``metrics`` block of work counts (the pointer
+solver's search; the thresholds evaluated and the exact kernels' sizes).
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 exact-enumeration budget exceeded.

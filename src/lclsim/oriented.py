@@ -12,11 +12,16 @@ integer counts.
 
 Edge balls are anchored at the edge's ``+`` endpoint: positions on the
 ``+`` side come first, so both endpoints pack an edge view identically.
+
+Coordinates, frames and key tables depend only on small integers, so each
+is built once per process (``functools.lru_cache``); cached arrays are
+read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,6 +35,7 @@ def reverse_slot(d):
     return d ^ 1
 
 
+@lru_cache(maxsize=None)
 def ball_paths(delta, t):
     """Non-backtracking direction paths of length <= t, BFS then lex order."""
     paths = [()]
@@ -52,6 +58,7 @@ def side_paths(delta, t, avoid_first):
     return tuple(p for p in ball_paths(delta, t) if not (p and p[0] == avoid_first))
 
 
+@lru_cache(maxsize=None)
 def edge_positions(delta, t, dim):
     """Positions of a radius-t edge ball for an edge of the given dimension:
     ``("P", path)`` for the + endpoint's side (listed first), ``("M", path)``
@@ -116,6 +123,7 @@ def _classify(source_index, target_abs):
     return Frame(size=len(target_abs), known=tuple(known), free=tuple(free))
 
 
+@lru_cache(maxsize=None)
 def neighbor_frame(delta, t, direction):
     """A neighbor's radius-t node ball inside the center's radius-t ball."""
     center = ball_paths(delta, t)
@@ -127,6 +135,7 @@ def neighbor_frame(delta, t, direction):
     return _classify(idx, abs_list)
 
 
+@lru_cache(maxsize=None)
 def incident_edge_frame(delta, t_center, s_edge, direction):
     """The radius-s ball of the center's ``direction`` edge inside the
     center's radius-t node ball."""
@@ -142,6 +151,7 @@ def incident_edge_frame(delta, t_center, s_edge, direction):
     return _classify(idx, abs_list)
 
 
+@lru_cache(maxsize=None)
 def endpoint_completion_frame(delta, t, s_edge, dim, side):
     """An endpoint's radius-t node ball inside the radius-s edge ball: the
     free positions are exactly the completions an edge-based simulation
@@ -154,9 +164,7 @@ def endpoint_completion_frame(delta, t, s_edge, dim, side):
     return _classify(edge_idx, abs_list)
 
 
-def key_tables(frame, b, source_positions):
-    """Numpy lookup tables assembling target keys from (source key, free
-    counter): ``target_key = known_tab[source_key] | free_tab[counter]``."""
+def _check_kernel_bits(frame, b, source_positions):
     src_bits = b * source_positions
     free_bits = b * frame.free_count
     if src_bits > TABLE_BITS_CAP or free_bits > TABLE_BITS_CAP:
@@ -167,16 +175,58 @@ def key_tables(frame, b, source_positions):
         raise BudgetExceededError(
             f"{src_bits + free_bits} conditioning+completion bits exceed "
             f"the exact budget of {KERNEL_BUDGET_BITS}")
+
+
+def _gather_bits(keys, b, moves):
+    """Move b-bit fields of ``keys``: each (from_slot, to_slot) in ``moves``
+    copies field ``from_slot`` to field ``to_slot`` of the result."""
     mask = (1 << b) - 1
-    sigma = np.arange(1 << src_bits, dtype=np.int64)
-    known_tab = np.zeros_like(sigma)
-    for j, i in frame.known:
-        known_tab |= ((sigma >> (b * i)) & mask) << (b * j)
+    out = np.zeros_like(keys)
+    for src, dst in moves:
+        out |= ((keys >> (b * src)) & mask) << (b * dst)
+    return out
+
+
+def _free_table(frame, b):
+    """Target-key bits of each free counter value."""
     ctr = np.arange(1 << (b * frame.free_count), dtype=np.int64)
-    free_tab = np.zeros_like(ctr)
-    for slot, j in enumerate(frame.free):
-        free_tab |= ((ctr >> (b * slot)) & mask) << (b * j)
-    return known_tab, free_tab
+    return _gather_bits(ctr, b, enumerate(frame.free))
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=None)
+def key_tables(frame, b, source_positions):
+    """Numpy lookup tables assembling target keys from (source key, free
+    counter): ``target_key = known_tab[source_key] | free_tab[counter]``.
+    Built once per argument tuple; the arrays are read-only."""
+    _check_kernel_bits(frame, b, source_positions)
+    sigma = np.arange(1 << (b * source_positions), dtype=np.int64)
+    return _read_only(_gather_bits(sigma, b, [(i, j) for j, i in frame.known]),
+                      _free_table(frame, b))
+
+
+@lru_cache(maxsize=None)
+def overlap_tables(frame, b, source_positions):
+    """The frame's target keys factorized through the overlap with the
+    source ball: ``(proj, targets)`` with ``proj[source_key] = u``, the
+    ``b * K`` bits of the K known positions packed in ``frame.known``
+    order, and ``targets[u, counter]`` the target key those bits and the
+    free counter assemble.  So ``target_key = targets[proj[source_key],
+    counter]``, and a kernel whose per-key count only reads the target keys
+    computes it once per overlap value u (``2**(b*K)`` rows) instead of
+    once per source key.  Same budget as ``key_tables``; built once per
+    argument tuple; the arrays are read-only."""
+    _check_kernel_bits(frame, b, source_positions)
+    sigma = np.arange(1 << (b * source_positions), dtype=np.int64)
+    proj = _gather_bits(sigma, b, [(i, slot) for slot, (_, i) in enumerate(frame.known)])
+    u = np.arange(1 << (b * len(frame.known)), dtype=np.int64)
+    known = _gather_bits(u, b, [(slot, j) for slot, (j, _) in enumerate(frame.known)])
+    return _read_only(proj, known[:, None] | _free_table(frame, b)[None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +238,20 @@ def _check_table_bits(bits):
     if bits > TABLE_BITS_CAP:
         raise BudgetExceededError(
             f"table over {bits} bits exceeds the {TABLE_BITS_CAP}-bit cap")
+
+
+def _tabulate(fn, positions, b, bound, what):
+    """Call a rule once on the bit arrays of all ``2**(b*len(positions))``
+    keys; return its outputs as a fresh int64 table, after checking them
+    against ``[0, bound)``."""
+    keys = np.arange(1 << (b * len(positions)), dtype=np.int64)
+    mask = (1 << b) - 1
+    bits = {p: (keys >> (i * b)) & mask for i, p in enumerate(positions)}
+    out = np.broadcast_to(np.asarray(fn(bits)), keys.shape)
+    bad = (out < 0) | (out >= bound)
+    if bad.any():
+        raise InvalidParameterError(f"rule output {out[bad][0]} {what}")
+    return out.astype(np.int64)
 
 
 @dataclass
@@ -208,18 +272,15 @@ class NodeTable:
 
     @classmethod
     def from_rule(cls, delta, t, b, c, fn, name=""):
-        """``fn(bits)`` sees ``{path: bits_int}`` and returns a color."""
+        """Tabulate a rule over every key at once.  ``fn(bits)`` sees
+        ``{path: int64 array}``, entry ``key`` of each array holding that
+        position's bits in that key, and returns the colors as an integer
+        array in the same order, or one color for every key; so the rule
+        must be elementwise (numpy operators, ``np.bitwise_count``, ...).
+        A color outside ``[0, c)`` raises ``InvalidParameterError``."""
         paths = ball_paths(delta, t)
-        m = len(paths)
-        _check_table_bits(b * m)
-        mask = (1 << b) - 1
-        table = np.empty(1 << (b * m), dtype=np.int64)
-        for key in range(table.size):
-            bits = {p: (key >> (i * b)) & mask for i, p in enumerate(paths)}
-            out = fn(bits)
-            if not 0 <= out < c:
-                raise InvalidParameterError(f"rule output {out} outside [0,{c})")
-            table[key] = out
+        _check_table_bits(b * len(paths))
+        table = _tabulate(fn, paths, b, c, f"outside [0,{c})")
         return cls(delta=delta, t=t, b=b, c=c, table=table, name=name)
 
 
@@ -244,23 +305,18 @@ class EdgeTable:
 
     @classmethod
     def from_rule(cls, delta, t, b, labels, fn, name=""):
-        """``fn(dim, bits)`` sees ``{(side, path): bits_int}`` and returns a
-        label index."""
+        """Tabulate a rule per dimension over every key at once.
+        ``fn(dim, bits)`` sees ``{(side, path): int64 array}`` as in
+        ``NodeTable.from_rule`` and returns label indices as an integer
+        array, or one index for every key; an index outside the palette
+        raises ``InvalidParameterError``."""
         labels = tuple(labels)
         tables = {}
         for dim in range(1, delta // 2 + 1):
             pos = edge_positions(delta, t, dim)
-            m = len(pos)
-            _check_table_bits(b * m)
-            mask = (1 << b) - 1
-            table = np.empty(1 << (b * m), dtype=np.int64)
-            for key in range(table.size):
-                bits = {p: (key >> (i * b)) & mask for i, p in enumerate(pos)}
-                out = fn(dim, bits)
-                if not 0 <= out < len(labels):
-                    raise InvalidParameterError(f"rule output {out} outside the palette")
-                table[key] = out
-            tables[dim] = table
+            _check_table_bits(b * len(pos))
+            tables[dim] = _tabulate(lambda bits: fn(dim, bits), pos, b,
+                                    len(labels), "outside the palette")
         return cls(delta=delta, t=t, b=b, labels=labels, tables=tables, name=name)
 
 

@@ -17,10 +17,10 @@ import numpy as np
 
 from .engine import DirectedPair, LocalAlgorithm, require_interior
 from .errors import InvalidInputError, InvalidParameterError
-from .oriented import (EdgeTable, NodeTable, ball_paths, edge_positions,
-                       endpoint_completion_frame, incident_edge_frame,
-                       key_tables, neighbor_frame, pack_edge_view,
-                       pack_node_view)
+from .oriented import (KERNEL_BUDGET_BITS, EdgeTable, NodeTable, ball_paths,
+                       edge_positions, endpoint_completion_frame,
+                       incident_edge_frame, key_tables, neighbor_frame,
+                       overlap_tables, pack_edge_view, pack_node_view)
 
 
 @dataclass(frozen=True)
@@ -63,23 +63,39 @@ def _count_dtype(b, m, free_count, delta):
     return np.int64 if b * (m + free_count * delta) <= 62 else object
 
 
+def _matches_per_key(rank, n_colors, proj, targets):
+    """``counts[k] = #{r : rank[targets[proj[k], r]] == rank[k]}``: sort the
+    (overlap row, color) pairs of the ``(U, R)`` target matrix once, then
+    search each source key's pair.  Colors enter as ranks in the table's
+    palette, so a pair code ``u * n_colors + rank`` stays below 2**44 (u
+    and rank each below 2**TABLE_BITS_CAP) whatever palette size the
+    table declares."""
+    rows = np.arange(targets.shape[0], dtype=np.int64)[:, None]
+    pairs = np.sort((rows * n_colors + rank[targets]).ravel())
+    query = proj * n_colors + rank
+    return (np.searchsorted(pairs, query, side="right")
+            - np.searchsorted(pairs, query, side="left"))
+
+
 def node_local_failure(alg):
     """Pr[every neighbor outputs the center's color], exactly.
 
     Conditioned on the bits of the center's radius-t ball, the neighbors'
     outputs are independent (their unseen bit regions are disjoint subtrees),
-    so the joint probability is a product of per-branch counts.
+    so the joint probability is a product of per-branch counts.  A branch
+    count reads the center key only through the bits where the neighbor's
+    ball overlaps it, so it is counted once per overlap value
+    (``oriented.overlap_tables``) and looked up per center key.
     """
     delta, t, b = alg.delta, alg.t, alg.b
     m = len(ball_paths(delta, t))
-    out = alg.table
+    palette, rank = np.unique(alg.table, return_inverse=True)
     prod = None
     free_bits = 0
     for direction in range(delta):
         fr = neighbor_frame(delta, t, direction)
-        known, free = key_tables(fr, b, m)
-        keys = known[:, None] | free[None, :]
-        counts = (alg.table[keys] == out[:, None]).sum(axis=1, dtype=np.int64)
+        proj, targets = overlap_tables(fr, b, m)
+        counts = _matches_per_key(rank, palette.size, proj, targets)
         counts = counts.astype(_count_dtype(b, m, fr.free_count, delta), copy=False)
         prod = counts if prod is None else prod * counts
         free_bits = b * fr.free_count
@@ -114,6 +130,14 @@ def _onehot_counts(codes, n_codes):
     return np.bincount(idx.ravel(), minlength=rows * n_codes).reshape(rows, n_codes)
 
 
+def _label_counts(frame, b, m, table, n_codes):
+    """Per source key, how many of the frame's completions give each entry
+    of ``table`` (entries in ``[0, n_codes)``): counted once per overlap row,
+    then indexed with the projection."""
+    proj, targets = overlap_tables(frame, b, m)
+    return _onehot_counts(table[targets], n_codes)[proj]
+
+
 def edge_local_failure(alg):
     """Pr[no dimension breaks symmetry at the center], exactly.
 
@@ -122,21 +146,23 @@ def edge_local_failure(alg):
     labels of a dimension are independent, and dimensions are independent
     of each other.
     """
-    delta, t, b = alg.delta, alg.t, alg.b
+    return _edge_failure(alg.delta, alg.t, alg.b, alg.tables,
+                         _relative_code_maps(alg.labels))
+
+
+def _edge_failure(delta, t, b, tables, codes):
+    rel_plus, rel_minus, n_codes = codes
     m = len(ball_paths(delta, t))
-    rel_plus, rel_minus, n_codes = _relative_code_maps(alg.labels)
     prod = None
     free_bits = 0
     for dim in range(1, delta // 2 + 1):
         per_side = []
         for direction in (2 * (dim - 1), 2 * (dim - 1) + 1):
             fr = incident_edge_frame(delta, t, t, direction)
-            known, free = key_tables(fr, b, m)
-            keys = known[:, None] | free[None, :]
-            lab = alg.tables[dim][keys]
             rel = rel_plus if direction % 2 == 0 else rel_minus
-            per_side.append(_onehot_counts(rel[lab], n_codes).astype(
-                _count_dtype(b, m, fr.free_count, delta), copy=False))
+            counts = _label_counts(fr, b, m, rel[tables[dim]], n_codes)
+            per_side.append(counts.astype(_count_dtype(b, m, fr.free_count, delta),
+                                          copy=False))
             free_bits = b * fr.free_count
         match = (per_side[0] * per_side[1]).sum(axis=1)
         prod = match if prod is None else prod * match
@@ -150,22 +176,13 @@ def edge_local_failure(alg):
 
 
 def _threshold_mask(dist, f, free_bits):
-    """Bit i set iff count_i / 2**free_bits >= f; exact integer compare."""
-    need_num = f.numerator << free_bits
-    if f.denominator.bit_length() + 8 + free_bits >= 63:
-        # post-hoc optimal thresholds can carry huge denominators
-        masks = np.zeros(dist.shape[0], dtype=np.int64)
-        for row in range(dist.shape[0]):
-            mask = 0
-            for i in range(dist.shape[1]):
-                if int(dist[row, i]) * f.denominator >= need_num:
-                    mask |= 1 << i
-            masks[row] = mask
-        return masks
-    masks = np.zeros(dist.shape[0], dtype=np.int64)
-    for i in range(dist.shape[1]):
-        masks |= (dist[:, i] * f.denominator >= need_num).astype(np.int64) << i
-    return masks
+    """Bit i set iff count_i / 2**free_bits >= f, where count_i is entry i
+    of the last axis.  Exact: counts are integers, so the test is
+    count_i >= ceil(f * 2**free_bits), a bound clamped to 2**free_bits + 1
+    (no count reaches it) so it stays small whatever the denominator of f."""
+    need = min(-(-(f.numerator << free_bits) // f.denominator), (1 << free_bits) + 1)
+    bits = (dist >= need).astype(np.int64) << np.arange(dist.shape[-1], dtype=np.int64)
+    return np.bitwise_or.reduce(bits, axis=-1)
 
 
 @dataclass
@@ -183,6 +200,16 @@ class EdgeSpeedupConstruction:
     rounds: int
     dists: dict = field(repr=False)        # dim -> {"P": counts, "M": counts}
     completion_bits: int
+    labels: tuple = field(init=False, repr=False)
+    codes: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # the 2^(2c) frequent-set pairs and their relative codes do not
+        # depend on the threshold
+        c = self.source.c
+        self.labels = tuple(DirectedPair(p >> c, p & ((1 << c) - 1))
+                            for p in range(1 << (2 * c)))
+        self.codes = _relative_code_maps(self.labels)
 
     def frequent_masks(self, f):
         out = {}
@@ -191,19 +218,19 @@ class EdgeSpeedupConstruction:
                         for side, d in sides.items()}
         return out
 
-    def edge_table(self, f):
+    def _tables(self, f):
         c = self.source.c
-        labels = tuple(DirectedPair(p >> c, p & ((1 << c) - 1))
-                       for p in range(1 << (2 * c)))
         masks = self.frequent_masks(f)
-        tables = {dim: (masks[dim]["P"] << c) | masks[dim]["M"]
-                  for dim in masks}
+        return {dim: (masks[dim]["P"] << c) | masks[dim]["M"] for dim in masks}
+
+    def edge_table(self, f):
         return EdgeTable(delta=self.cfg.delta, t=self.rounds, b=self.cfg.b,
-                         labels=labels, tables=tables,
+                         labels=self.labels, tables=self._tables(f),
                          name=f"{self.source.name or 'node-alg'}->edges")
 
     def local_failure(self, f):
-        return edge_local_failure(self.edge_table(f))
+        return _edge_failure(self.cfg.delta, self.rounds, self.cfg.b,
+                             self._tables(f), self.codes)
 
     def goodness_violation(self, f):
         """Pr[some incident edge's frequent set omits the center's color].
@@ -248,10 +275,7 @@ def node_to_edge_speedup(alg, cfg):
         sides = {}
         for side in ("P", "M"):
             fr = endpoint_completion_frame(delta, t, s, dim, side)
-            known, free = key_tables(fr, b, m_e)
-            keys = known[:, None] | free[None, :]
-            colors = alg.table[keys]
-            sides[side] = _onehot_counts(colors, c)
+            sides[side] = _label_counts(fr, b, m_e, alg.table, c)
             completion_bits = b * fr.free_count
         dists[dim] = sides
     return EdgeSpeedupConstruction(source=alg, cfg=cfg, rounds=s,
@@ -278,11 +302,9 @@ class NodeSpeedupConstruction:
 
     def node_table(self, f):
         c = self.source.c
-        packed = np.zeros(self.dists.shape[0], dtype=np.int64)
-        for direction in range(self.cfg.delta):
-            mask = _threshold_mask(self.dists[:, direction, :], f,
-                                   self.completion_bits)
-            packed |= mask << (direction * c)
+        masks = _threshold_mask(self.dists, f, self.completion_bits)
+        shifts = np.arange(self.cfg.delta, dtype=np.int64) * c
+        packed = np.bitwise_or.reduce(masks << shifts, axis=1)
         return NodeTable(delta=self.cfg.delta, t=self.rounds, b=self.cfg.b,
                          c=1 << (self.cfg.delta * c), table=packed,
                          name=f"{self.source.name or 'edge-alg'}->nodes")
@@ -301,10 +323,8 @@ def edge_to_node_speedup(alg, cfg):
     completion_bits = 0
     for direction in range(delta):
         fr = incident_edge_frame(delta, t, t, direction)
-        known, free = key_tables(fr, b, m)
-        keys = known[:, None] | free[None, :]
-        labels = alg.tables[direction // 2 + 1][keys]
-        dists[:, direction, :] = _onehot_counts(labels, c)
+        dists[:, direction, :] = _label_counts(
+            fr, b, m, alg.tables[direction // 2 + 1], c)
         completion_bits = b * fr.free_count
     return NodeSpeedupConstruction(source=alg, cfg=cfg, rounds=t,
                                    dists=dists, completion_bits=completion_bits)
@@ -336,6 +356,7 @@ class SpeedupReport:
     grid: list
     inequality_holds: bool
     goodness_holds: bool
+    metrics: dict = field(default_factory=dict)
 
     def to_json_obj(self):
         def frac(x):
@@ -356,6 +377,8 @@ class SpeedupReport:
                  "goodness_holds": pt.goodness_holds}
                 for pt in self.grid],
             "inequality_holds": self.inequality_holds,
+            "goodness_holds": self.goodness_holds,
+            "metrics": self.metrics,
         }
 
 
@@ -420,6 +443,9 @@ def verify_speedup_inequality(g, source, derived, cfg, direction,
     at_star = evaluate(f_star) if 0 < f_star < 1 else at_f
     points = [evaluate(f) for f in f_grid]
     all_points = [at_f, at_star] + points
+    metrics = {"grid_points": 1 + (at_star is not at_f) + len(points),
+               "kernel_budget_bits": KERNEL_BUDGET_BITS,
+               "kernels": _kernel_work(direction, cfg.delta, cfg.t, cfg.b)}
     return SpeedupReport(
         direction=direction, cfg=cfg, p=p,
         p_prime=at_f.p_prime,
@@ -427,7 +453,34 @@ def verify_speedup_inequality(g, source, derived, cfg, direction,
         grid=points,
         inequality_holds=all(pt.holds for pt in all_points),
         goodness_holds=all(pt.goodness_holds in (True, None) for pt in all_points),
+        metrics=metrics,
     )
+
+
+def _kernel_work(direction, delta, t, b):
+    """Work counts of the three exact kernels of one speedup check: per
+    kernel the overlap rows U and completion columns R of its largest frame
+    (``oriented.overlap_tables``) and the conditioning + completion bits
+    that the budget check compares with ``KERNEL_BUDGET_BITS``."""
+    def work(frames, m):
+        return {"overlap_rows": max(1 << (b * len(fr.known)) for fr in frames),
+                "completion_columns": max(1 << (b * fr.free_count) for fr in frames),
+                "bits": max(b * (m + fr.free_count) for fr in frames)}
+
+    m = len(ball_paths(delta, t))
+    neighbors = [neighbor_frame(delta, t, d) for d in range(delta)]
+    incident = [incident_edge_frame(delta, t, t, d) for d in range(delta)]
+    if direction == 2:
+        return {"source_failure": work(incident, m),
+                "construction": work(incident, m),
+                "derived_failure": work(neighbors, m)}
+    s = t - 1
+    endpoints = [endpoint_completion_frame(delta, t, s, dim, side)
+                 for dim in range(1, delta // 2 + 1) for side in ("P", "M")]
+    derived = [incident_edge_frame(delta, s, s, d) for d in range(delta)]
+    return {"source_failure": work(neighbors, m),
+            "construction": work(endpoints, len(edge_positions(delta, s, 1))),
+            "derived_failure": work(derived, len(ball_paths(delta, s)))}
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +501,7 @@ def constant_node_algorithm(delta, t, b, c, value=0):
 
 def ball_parity_node_algorithm(delta, t, b, c=2):
     def rule(bits):
-        ones = sum(bin(x).count("1") for x in bits.values())
+        ones = sum(np.bitwise_count(x).astype(np.int64) for x in bits.values())
         return ones % c
     return NodeTable.from_rule(delta, t, b, c, rule, name="ball-parity")
 

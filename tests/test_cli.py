@@ -84,6 +84,29 @@ def test_speedup_command_canonical(tmp_path):
     assert obj["inequality_holds"] is True
 
 
+def test_speedup_metrics_and_goodness(tmp_path):
+    out = tmp_path / "rep.json"
+    argv = ["speedup", "--direction", "1", "--delta", "4", "--b", "1",
+            "--c", "2", "--t", "1", "--f", "1/40", "--grid", "10",
+            "--algorithm", "own-bit", "--out", str(out)]
+    assert run_cli(argv) == 0
+    first = out.read_bytes()
+    obj = json.loads(first)
+    assert obj["goodness_holds"] is True
+    # configured f, the optimal f (1/40 again, evaluated separately) and
+    # the 10 grid points
+    assert obj["metrics"] == {
+        "grid_points": 12, "kernel_budget_bits": 24,
+        "kernels": {
+            # a neighbor's radius-1 ball overlaps the center ball in 2 of
+            # its 5 positions; 3 are free
+            "source_failure": {"overlap_rows": 4, "completion_columns": 8, "bits": 8},
+            "construction": {"overlap_rows": 4, "completion_columns": 8, "bits": 5},
+            "derived_failure": {"overlap_rows": 2, "completion_columns": 2, "bits": 2}}}
+    assert run_cli(argv) == 0
+    assert out.read_bytes() == first
+
+
 def test_speedup_budget_exit(tmp_path):
     code = run_cli(["speedup", "--direction", "2", "--delta", "6",
                     "--b", "2", "--c", "2", "--t", "1",

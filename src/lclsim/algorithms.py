@@ -3,17 +3,23 @@ pointer-problem solvers, and the homogeneous dispatcher.
 
 Everything is expressed over immutable graphs and returns plain label
 dicts; the stated round counts are the LOCAL-model accounting of each
-stage (a stage needing information from distance d costs d rounds).
+stage (a stage needing information from distance d costs d rounds).  A
+round runs for all nodes at once, as whole-array passes over
+``g.csr()``; the per-node :func:`_closest_other_color` remains as the
+rule one node applies inside its own view.
 """
 
 from __future__ import annotations
 
-import heapq
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from .engine import run_node_algorithm
 from .errors import InvalidInputError, PSolverViolation
-from .graph import CycleIndex
+from .graph import CycleIndex, frontier_slots, reduce_slots, slot_owners
 from .problems import HomogeneousLabel, PointerLabel, verify_weak_coloring
 
 
@@ -38,7 +44,9 @@ def weak_to_weak2c(g, phi, k, c, validate=True):
     color, then lexicographically smallest port path) and appends the
     parity of that distance to its own color.  Returns the new coloring
     (colors in [2c]), the round count, and per-node detail for the parity
-    argument check.
+    argument check.  All nodes search at once: k sweeps over ``g.csr()``
+    (:func:`_recolor_sweeps`) give what :func:`_closest_other_color` finds
+    node by node.
     """
     if validate:
         results = verify_weak_coloring(g, phi, c, k)
@@ -46,13 +54,90 @@ def weak_to_weak2c(g, phi, k, c, validate=True):
         if bad:
             raise InvalidInputError(
                 f"not a valid distance-{k} weak {c}-coloring; offenders {bad[:5]}")
-    out = {}
-    detail = {}
-    for v in range(g.n):
-        target, dist, first_port = _closest_other_color(g, v, phi, k)
-        out[v] = (phi[v] - 1) * 2 + (dist % 2) + 1
-        detail[v] = RecolorDetail(target=target, dist=dist, first_port=first_port)
-    return out, k, detail
+    colors = np.array([phi[v] for v in range(g.n)])
+    target, dist, first_port = _recolor_sweeps(g, colors, k)
+    out = dict(zip(range(g.n), ((colors - 1) * 2 + dist % 2 + 1).tolist()))
+    return out, k, _RecolorDetails(target, dist, first_port)
+
+
+class _RecolorDetails(Mapping):
+    """Node -> :class:`RecolorDetail`, made on access from the sweep's
+    arrays (most callers never read it)."""
+
+    def __init__(self, target, dist, first_port):
+        self._columns = (target.tolist(), dist.tolist(), first_port.tolist())
+
+    def __getitem__(self, v):
+        if v not in range(len(self)):
+            raise KeyError(v)
+        return RecolorDetail(*(col[v] for col in self._columns))
+
+    def __iter__(self):
+        return iter(range(len(self)))
+
+    def __len__(self):
+        return len(self._columns[0])
+
+
+# fields of a packed search entry, high to low: distance, first port + 1
+# (0 at the node itself, 5 bits) and the node found (31 bits); one int64
+# orders entries by (distance, first port)
+_PORT_SHIFT = 31
+_DIST_SHIFT = _PORT_SHIFT + 5
+
+
+def _recolor_sweeps(g, colors, k):
+    """Closest differently-colored node of every node, as ``(target, dist,
+    first_port)`` arrays.
+
+    After sweep j each node holds the two smallest distinct colors of its
+    radius-j ball, each with its best entry: the smallest (distance, port
+    path) to a node of that color, packed as (distance, first port,
+    target).  A node's entry for a color comes from its own color or
+    from the neighbors' entries of that color, one step longer and behind
+    the port to that neighbor; the smallest two colors of a ball are among
+    the neighbors' smallest two, and a neighbor's best path to a color
+    continues the best path through it.  The first sweep whose ball holds
+    a second color fixes the node's answer: no other color is closer, so
+    every other color of the ball sits at exactly that distance and the
+    smallest (color, path) is the entry of the smallest color not its own.
+    """
+    indptr, nbr, my_port = g.csr()[:3]
+    rank = np.unique(colors, return_inverse=True)[1].reshape(-1)
+    none = np.iinfo(np.int64).max
+    src = slot_owners(indptr)
+    port_field = np.int64(0x1f) << _PORT_SHIFT
+    step = (np.int64(1) << _DIST_SHIFT) + ((my_port.astype(np.int64) + 1) << _PORT_SHIFT)
+    own = np.arange(g.n, dtype=np.int64)
+    # (color, entry) of the smallest and the second smallest color
+    best = [(rank, own), (np.full(g.n, none), np.full(g.n, none))]
+    found = np.full(g.n, -1, np.int64)
+
+    def smallest(values):
+        return reduce_slots(indptr, np.minimum, values, none)
+
+    def entry_of(col, via):
+        want = np.where(col == none, -1, col)[src]
+        cand = np.minimum(*(np.where(c == want, e, none) for c, e in via))
+        return np.where(rank == col, own, smallest(cand))
+
+    for _ in range(k):
+        # the neighbors' entries, one step longer, behind the port taken
+        via = [(c[nbr], (e[nbr] & ~port_field) + step) for c, e in best]
+        first = np.minimum(rank, smallest(via[0][0]))
+        above = np.minimum(*(np.where(c > first[src], c, none) for c, _ in via))
+        second = np.minimum(np.where(rank > first, rank, none), smallest(above))
+        best = [(first, entry_of(first, via)), (second, entry_of(second, via))]
+        fresh = (found < 0) & (second != none)
+        found[fresh] = np.where(first != rank, best[0][1], best[1][1])[fresh]
+        if (found >= 0).all():
+            break
+    missing = np.flatnonzero(found < 0)
+    if missing.size:
+        raise InvalidInputError(
+            f"node {missing[0]} sees no other color within distance {k}")
+    return (found & ((np.int64(1) << _PORT_SHIFT) - 1), found >> _DIST_SHIFT,
+            ((found & port_field) >> _PORT_SHIFT) - 1)
 
 
 def _closest_other_color(g, v, phi, k):
@@ -88,32 +173,35 @@ class Pseudoforest:
 
     out_port: dict
     parent: dict = field(default_factory=dict)
-    children: dict = field(default_factory=dict)
 
-    @classmethod
-    def build(cls, g, out_port):
-        parent = {v: g.neighbor_by_port(v, p) for v, p in out_port.items()}
-        children = {v: [] for v in out_port}
-        for v, w in parent.items():
+    @cached_property
+    def children(self):
+        """Node -> the nodes pointing at it, in increasing order."""
+        children = {v: [] for v in self.parent}
+        for v, w in self.parent.items():
             children[w].append(v)
-        return cls(out_port=out_port, parent=parent, children=children)
+        return children
 
     def pointer_neighbors(self, v):
         return [self.parent[v]] + self.children[v]
 
 
 def build_pseudoforest(g, phi2):
-    """Each node picks its smallest-port neighbor of a different color."""
-    out_port = {}
-    for v in range(g.n):
-        for u, mp, _ in g.neighbors(v):
-            if phi2[u] != phi2[v]:
-                out_port[v] = mp
-                break
-        else:
-            raise InvalidInputError(
-                f"node {v} has no differently-colored neighbor")
-    return Pseudoforest.build(g, out_port)
+    """Each node picks its smallest-port neighbor of a different color
+    (the first such slot of its CSR range)."""
+    indptr, nbr, my_port = g.csr()[:3]
+    colors = np.array([phi2[v] for v in range(g.n)])
+    src = slot_owners(indptr)
+    slots = np.flatnonzero(colors[nbr] != colors[src])
+    first = slots[np.diff(src[slots], prepend=-1) != 0]
+    if first.size < g.n:
+        lacking = np.ones(g.n, bool)
+        lacking[src[first]] = False
+        raise InvalidInputError(
+            f"node {np.flatnonzero(lacking)[0]} has no differently-colored neighbor")
+    nodes = range(g.n)
+    return Pseudoforest(out_port=dict(zip(nodes, my_port[first].tolist())),
+                        parent=dict(zip(nodes, nbr[first].tolist())))
 
 
 def cole_vishkin_step(own, parent):
@@ -124,49 +212,76 @@ def cole_vishkin_step(own, parent):
     return 2 * i + ((own >> i) & 1)
 
 
+def _cole_vishkin_steps(own, parent):
+    """:func:`cole_vishkin_step` at every node at once; int64 colors by bit
+    arithmetic, wider ones elementwise."""
+    if own.dtype == object:
+        return np.array(np.frompyfunc(cole_vishkin_step, 2, 1)(own, parent).tolist())
+    diff = own ^ parent
+    i = np.bitwise_count((diff & -diff) - 1).astype(np.int64)
+    return 2 * i + ((own >> i) & 1)
+
+
+def _pointer_arrays(pf, labels):
+    """The nodes of ``labels`` (in its order), their values as an array and
+    the position of each node's pointer target among them."""
+    nodes = list(labels)
+    values = np.array([labels[v] for v in nodes])
+    parents = [pf.parent[v] for v in nodes]
+    if nodes != list(range(len(nodes))):
+        pos = {v: i for i, v in enumerate(nodes)}
+        parents = [pos[w] for w in parents]
+    return nodes, values, np.array(parents, np.int64).reshape(-1)
+
+
 def cole_vishkin_reduce(pf, colors, c_prime):
     """Reduce a coloring that is proper along the pointers to 3 colors.
 
     Iterated bit-index relabeling against the pointer target until at most
     6 colors remain, then three shift-down-and-recolor passes eliminate
     colors 6, 5, 4 (1-based).  Properness along pointers holds after every
-    step.  Returns (coloring in {1,2,3}, rounds).
+    step.  Every step relabels all nodes at once over the parent array.
+    Returns (coloring in {1,2,3}, rounds).
     """
-    x = {v: colors[v] - 1 for v in colors}
-    parent = pf.parent
-    for v, w in parent.items():
-        if x[v] == x[w]:
-            raise InvalidInputError(f"colors of {v} and its pointer target agree")
+    nodes, x, par = _pointer_arrays(pf, colors)
+    x = x - 1
+    agree = np.flatnonzero(x == x[par])
+    if agree.size:
+        raise InvalidInputError(f"colors of {nodes[agree[0]]} and its pointer target agree")
     rounds = 0
     bound = c_prime
     while bound > 6:
-        x = {v: cole_vishkin_step(x[v], x[parent[v]]) for v in x}
+        x = _cole_vishkin_steps(x, x[par])
         bound = 2 * max(bound - 1, 1).bit_length()
         rounds += 1
     # the skip below depends only on the declared palette, never on the
     # realized colors: the round count must be the same at every node
     if c_prime > 3:
         for target in (5, 4, 3):
-            shifted = {v: x[parent[v]] for v in x}
-            new = dict(shifted)
-            for v, col in shifted.items():
-                if col == target:
-                    avoid = {shifted[parent[v]], x[v]}
-                    new[v] = min(set(range(3)) - avoid)
-            x = new
+            shifted = x[par]
+            a, b = shifted[par], x
+            free = np.where((a != 0) & (b != 0), 0, np.where((a != 1) & (b != 1), 1, 2))
+            x = np.where(shifted == target, free, shifted)
             rounds += 2
-    return {v: col + 1 for v, col in x.items()}, rounds
+    return dict(zip(nodes, (x + 1).tolist())), rounds
 
 
 def mis_to_weak2(pf, psi):
     """Greedy maximal independent set on the pointer graph by color classes
-    1, 2, 3; members get label 1, the rest label 2.  Three rounds."""
-    joined = set()
+    1, 2, 3; members get label 1, the rest label 2.  Three rounds.  A
+    proper 3-coloring along the pointers makes each class independent, so
+    a class joins at once: every member without a joined pointer neighbor
+    (its target or a node pointing at it)."""
+    nodes, col, par = _pointer_arrays(pf, psi)
+    clash = np.flatnonzero(np.isin(col, (1, 2, 3)) & (col == col[par]))
+    if clash.size:
+        raise InvalidInputError(f"colors of {nodes[clash[0]]} and its pointer target agree")
+    joined = np.zeros(len(nodes), bool)
     for cls in (1, 2, 3):
-        for v, col in psi.items():
-            if col == cls and not any(u in joined for u in pf.pointer_neighbors(v)):
-                joined.add(v)
-    return {v: 1 if v in joined else 2 for v in psi}, 3
+        pointed_at = np.zeros(len(nodes), bool)
+        pointed_at[par[joined]] = True
+        joined |= (col == cls) & ~joined[par] & ~pointed_at
+    return dict(zip(nodes, np.where(joined, 1, 2).tolist())), 3
 
 
 @dataclass
@@ -183,7 +298,14 @@ class PipelineResult:
 
 
 def weak_family_to_weak2(g, phi, k, c, validate=True):
-    """Distance-k weak c-coloring -> weak 2-coloring, constant extra rounds."""
+    """Distance-k weak c-coloring -> weak 2-coloring, constant extra rounds.
+
+    Four stages, each a whole-array LOCAL algorithm: recolor by the parity
+    of the distance to the closest other color (k frontier sweeps), point
+    at the smallest-port neighbor of another color, Cole-Vishkin down to 3
+    colors over the parent array, then the greedy MIS one color class at a
+    time.
+    """
     phi2, r_recolor, _ = weak_to_weak2c(g, phi, k, c, validate=validate)
     pf = build_pseudoforest(g, phi2)
     psi, r_cv = cole_vishkin_reduce(pf, phi2, 2 * c)
@@ -202,29 +324,39 @@ def weak_family_to_weak2(g, phi, k, c, validate=True):
 
 
 def _low_degree_map(g, ids):
-    """One multi-source lexicographic Dijkstra from all low-degree nodes
-    gives every node its preferred low-degree target (distance, then degree,
-    then identifier; None if there is none), the distance, and a neighbor
-    one step closer to the target.  Matches the per-node ball scan exactly."""
-    INF = None
-    target = [INF] * g.n
-    dist = [0] * g.n
-    pred = [INF] * g.n
-    heap = []
-    for u in range(g.n):
-        if g.degree(u) < g.delta:
-            heap.append((0, g.degree(u), ids[u], u, u, u))
-    heapq.heapify(heap)
-    done = [False] * g.n
-    while heap:
-        d, deg_u, id_u, u, v, via = heapq.heappop(heap)
-        if done[v]:
-            continue
-        done[v] = True
-        target[v], dist[v], pred[v] = u, d, via
-        for w in g.adjacent(v):
-            if not done[w]:
-                heapq.heappush(heap, (d + 1, deg_u, id_u, u, w, v))
+    """Every node's preferred low-degree target (distance, then degree,
+    then identifier), the distance, and a neighbor one step closer to the
+    target, as int64 arrays ``(target, dist, pred)``; target and pred are
+    -1 (dist 0) where no low-degree node is reachable.
+
+    A level-synchronous multi-source BFS over ``g.csr()`` from all
+    low-degree nodes: a node reached first at level d takes, among its
+    level-(d-1) neighbors, the smallest (target degree, target id, target,
+    neighbor), one lexsort per level.  That is the order in which a
+    lexicographic Dijkstra keyed by (distance, degree, id) settles it, and
+    it matches the per-node ball scan exactly.
+    """
+    indptr, nbr = g.csr()[:2]
+    deg = np.diff(indptr)
+    ids = np.asarray(ids)
+    target = np.full(g.n, -1, np.int64)
+    pred = np.full(g.n, -1, np.int64)
+    dist = np.zeros(g.n, np.int64)
+    frontier = np.flatnonzero(deg < g.delta)
+    target[frontier] = pred[frontier] = frontier
+    level = 0
+    while frontier.size:
+        level += 1
+        w = nbr[frontier_slots(indptr, frontier)]
+        p = np.repeat(frontier, deg[frontier])
+        new = target[w] < 0
+        w, p = w[new], p[new]
+        t = target[p]
+        order = np.lexsort((p, t, ids[t], deg[t], w))
+        w, p, t = w[order], p[order], t[order]
+        first = np.flatnonzero(np.diff(w, prepend=-1) != 0)
+        frontier = w[first]
+        target[frontier], pred[frontier], dist[frontier] = t[first], p[first], level
     return target, dist, pred
 
 
@@ -259,7 +391,7 @@ def _pointer_labels(g, r, ids, low, cycles):
     which case the guess is 0.  Distances to a cycle count full-degree
     paths only, so a chain toward a cycle never meets a low-degree node.
     """
-    target, dist, _ = low
+    target, dist = low[0].tolist(), low[1].tolist()
     best = cycles.best
 
     def cycle_of(v):
@@ -270,7 +402,7 @@ def _pointer_labels(g, r, ids, low, cycles):
     successors = {}       # canonical cycle -> its successor map
     zero_ahead = {}       # low-degree chains: a cycle-preferring node lies ahead
     # increasing distance: a chain's next node is settled before its tail
-    for v in sorted(range(g.n), key=dist.__getitem__):
+    for v in np.argsort(low[1], kind="stable").tolist():
         if g.degree(v) < g.delta:
             labels[v] = PointerLabel(d=g.degree(v), port=None)
             continue
@@ -284,7 +416,7 @@ def _pointer_labels(g, r, ids, low, cycles):
             w = succ[v] if v in succ else _first_neighbor(
                 g, v, lambda w: best[w] == (eff - 1, key))
             labels[v] = PointerLabel(d=0, port=g.port_toward(v, w))
-        elif target[v] is not None and dist[v] <= r:
+        elif target[v] >= 0 and dist[v] <= r:
             u, d = target[v], dist[v]
             w = _first_neighbor(g, v, lambda w: target[w] == u and dist[w] == d - 1)
             zero_ahead[v] = cycle_of(w) is not None or zero_ahead.get(w, False)
@@ -324,18 +456,24 @@ def _cycle_successor(cyc, ids):
 
 def _tree_labels(g, r, low):
     """Labels of the nodes within distance r of their target, from the
-    low-degree map of a tree."""
+    low-degree map of a tree: low-degree nodes guess their own degree and
+    point nowhere, the others guess their target's degree and point at
+    the CSR slot of their predecessor.  Equal labels share one frozen
+    :class:`PointerLabel`."""
     target, dist, pred = low
-    labels = {}
-    for v in range(g.n):
-        if dist[v] > r:
-            continue
-        if g.degree(v) < g.delta:
-            labels[v] = PointerLabel(d=g.degree(v), port=None)
-        else:
-            labels[v] = PointerLabel(d=g.degree(target[v]),
-                                     port=g.port_toward(v, pred[v]))
-    return labels
+    indptr, nbr, my_port = g.csr()[:3]
+    deg = np.diff(indptr)
+    src = slot_owners(indptr)
+    toward = nbr == pred[src]
+    port = np.full(g.n, -1, np.int64)
+    port[src[toward]] = my_port[toward]
+    low_degree = deg < g.delta
+    nodes = np.flatnonzero((dist <= r) & (low_degree | (target >= 0)))
+    guess = np.where(low_degree, deg, deg[target])[nodes]
+    shared = [PointerLabel(d=d, port=p if p >= 0 else None)
+              for d in range(g.delta) for p in range(-1, g.delta)]
+    return dict(zip(nodes.tolist(), map(shared.__getitem__,
+                                        (guess * (g.delta + 1) + port[nodes] + 1).tolist())))
 
 
 def solve_pointer_labeling(g, assignment, metrics=None):
@@ -346,7 +484,8 @@ def solve_pointer_labeling(g, assignment, metrics=None):
     the radius and the labels.  A ``metrics`` dict receives the radius and
     the cycle search's work counts."""
     ids = _ids(g, assignment)
-    low = target, dist, _ = _low_degree_map(g, ids)
+    low = _low_degree_map(g, ids)
+    target, dist = low[0].tolist(), low[1].tolist()
     cycles = None
     if g.edge_count() == g.n - 1:
         rounds = max(dist)
@@ -356,13 +495,13 @@ def solve_pointer_labeling(g, assignment, metrics=None):
         # a cycle moves a node's smallest effective distance only where it
         # beats the closest low-degree node
         unbounded = 2 * g.n
-        cycles.require({v: unbounded if target[v] is None else dist[v] - 1
+        cycles.require({v: unbounded if target[v] < 0 else dist[v] - 1
                         for v in full})
         rounds = 0
         for v in full:
             b = cycles.best[v]
             near = min(unbounded if b is None else b[0],
-                       unbounded if target[v] is None else dist[v])
+                       unbounded if target[v] < 0 else dist[v])
             if near == unbounded:
                 raise InvalidInputError(f"node {v} sees no irregularity")
             rounds = max(rounds, near)
@@ -421,11 +560,29 @@ def homogeneous_dispatch(g, p_solver, p_verifier, r, assignment):
     k = p_solver.rounds + r
     pointer_labels = solve_pointer_labeling_local(g, k, assignment)
     inner = run_node_algorithm(g, p_solver, assignment)
-    labels = {v: HomogeneousLabel(inner=inner.get(v), pointer=pointer_labels.get(v))
-              for v in range(g.n)}
+    labels = _homogeneous_labels(g.n, inner, pointer_labels)
     bad = [v for v in range(g.n)
            if v not in pointer_labels and not p_verifier(g, v, inner)]
     if bad:
         raise PSolverViolation(
             f"inner solver rejected on regular balls at nodes {bad[:5]}")
     return labels
+
+
+def _homogeneous_labels(n, inner, pointer_labels):
+    """``v -> HomogeneousLabel(inner[v], pointer_labels[v])``.  Equal pairs
+    share one frozen label: inner values of the plain types by type and
+    value (equal ones print alike, unlike 0.0 and -0.0), pointer labels by
+    identity (tree pointer labels are shared already)."""
+    shared = {}
+
+    def label(i, p):
+        if type(i) not in (int, str, bool, type(None)):
+            return HomogeneousLabel(inner=i, pointer=p)
+        key = (type(i), i, id(p))
+        lab = shared.get(key)
+        if lab is None:
+            lab = shared[key] = HomogeneousLabel(inner=i, pointer=p)
+        return lab
+
+    return {v: label(inner.get(v), pointer_labels.get(v)) for v in range(n)}

@@ -13,7 +13,8 @@ new graph.  Every graph comes out of one builder
 range-checks them and orders the half-edges by ``(node, port)`` into CSR.
 Storage is compact ``array`` CSR (cheap scalar indexing for the per-node
 accessors); ``csr()`` hands out zero-copy numpy views of it, over which
-validation, serialization and the generators work whole-array.
+validation, serialization, the generators, the verifiers and the LOCAL
+rounds of ``lclsim.algorithms`` work whole-array.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .errors import InvalidInstanceError, InvalidParameterError
 
 MAX_GENERATED_NODES = 10**7
 MAX_DELTA = 16
+PLACE_CHUNK = 1 << 19      # half-edges placed per numpy call in the CSR builder
 
 FORMAT_NAME = "ported-graph"
 FORMAT_VERSION = 1
@@ -44,13 +46,6 @@ def _count(x, what):
     if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < 0:
         raise InvalidInstanceError(f"{what} must be a non-negative integer")
     return int(x)
-
-
-def _store(code, values):
-    """Copy ``values`` into ``array`` storage of the given type code."""
-    out = array(code, [0]) * len(values)
-    np.frombuffer(out, code)[:] = values
-    return out
 
 
 def _reject_if(bad, message, nodes=None):
@@ -104,43 +99,41 @@ class PortedGraph:
         """The one CSR assembly behind every graph.
 
         Takes one entry per edge (``sign`` as seen at ``u``), range-checks
-        every value before it is narrowed to int32/int8 storage, doubles the
-        edges into half-edges and orders them by ``(node, port)`` with one
-        stable argsort.  Generators emit the ``u`` halves and the ``v``
-        halves as two sorted runs, which the stable sort merges in linear
-        time.  ``delta`` defaults to the maximum degree.
+        every value before it is narrowed to int32/int8 storage and places
+        each half-edge straight into its CSR slot, ``indptr[node]`` plus
+        the rank of its port among the node's ports (a counting sort over
+        the fewer than 16 port values, with no sort key or permutation
+        array).  A repeated port at a node is rejected whether or not
+        ``validate`` is set.  ``delta`` defaults to the maximum degree.
         """
         n = _count(n, "n")
         if n >= 2**31:
             raise InvalidInstanceError("node count exceeds int32 storage")
-        node = np.concatenate([u, v])
-        if node.size and (node.min() < 0 or node.max() >= n):
+        m = len(u)
+        if m and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n):
             raise InvalidInstanceError(f"edge endpoint outside [0, {n})")
-        deg = np.bincount(node, minlength=n)
-        delta = int(deg.max(initial=0)) if delta is None else _count(delta, "delta")
+        storage = [array("i", [0]) * (n + 1)]
+        indptr = np.frombuffer(storage[0], "i")
+        np.cumsum(np.bincount(u, minlength=n), out=indptr[1:])
+        indptr[1:] += np.cumsum(np.bincount(v, minlength=n))
+        max_deg = int(np.diff(indptr).max(initial=0))
+        delta = max_deg if delta is None else _count(delta, "delta")
         if delta > MAX_DELTA:
             raise InvalidInstanceError(f"delta bounded to {MAX_DELTA}")
-        port = np.concatenate([pu, pv])
-        if port.size and (port.min() < 0 or port.max() >= max(delta, 1)):
+        if m and (min(pu.min(), pv.min()) < 0 or max(pu.max(), pv.max()) >= max(delta, 1)):
             raise InvalidInstanceError("port out of [0,delta)")
         if dim is None:
-            dim = sign = np.zeros(len(u), np.int8)
-        if len(dim) and (dim.min() < 0 or dim.max() > MAX_DELTA // 2
-                         or sign.min() < -1 or sign.max() > 1):
+            dim = sign = np.zeros(m, np.int8)
+        if m and (dim.min() < 0 or dim.max() > MAX_DELTA // 2
+                  or sign.min() < -1 or sign.max() > 1):
             raise InvalidInstanceError("orientation label out of range")
-        key = node.astype(np.int64)
-        key *= MAX_DELTA
-        key += port
-        order = np.argsort(key, kind="stable")
-        del key
-        indptr = np.zeros(n + 1, np.int64)
-        np.cumsum(deg, out=indptr[1:])
-        g = cls(n, delta, _store("i", indptr),
-                _store("i", np.concatenate([v, u])[order]),
-                _store("b", port[order]),
-                _store("b", np.concatenate([pv, pu])[order]),
-                _store("b", np.concatenate([dim, dim])[order]),
-                _store("b", np.concatenate([sign, -sign])[order]), meta)
+        storage += [array(code, [0]) * (2 * m) for code in "ibbbb"]
+        halves = ((u, v, pu, pv, dim, sign), (v, u, pv, pu, dim, -sign))
+        dup = _place_half_edges(indptr, halves,
+                                [np.frombuffer(a, a.typecode) for a in storage[1:]])
+        if dup is not None:
+            raise InvalidInstanceError(f"duplicate port at node {dup}")
+        g = cls(n, delta, *storage, meta)
         if validate:
             g.validate()
         return g
@@ -158,7 +151,7 @@ class PortedGraph:
         """``(u, v, port_u, port_v, dim, sign)`` arrays with one entry per
         edge, ``u < v``, ordered by ``(u, port_u)``; ``sign`` as seen at u."""
         indptr, nbr, my_port, nbr_port, dim, sign = self.csr()
-        src = np.repeat(np.arange(self.n, dtype=np.int32), np.diff(indptr))
+        src = slot_owners(indptr)
         keep = src < nbr
         return (src[keep], nbr[keep], my_port[keep], nbr_port[keep],
                 dim[keep], sign[keep])
@@ -231,7 +224,7 @@ class PortedGraph:
         :class:`InvalidInstanceError` naming the first violation."""
         indptr, nbr, port, nbr_port, dim, sign = self.csr()
         deg = np.diff(indptr)
-        src = np.repeat(np.arange(self.n, dtype=np.int32), deg)
+        src = slot_owners(indptr)
         _reject_if((port < 0) | (port >= max(self.delta, 1)),
                    "port out of [0,delta) at node {}", src)
         # ports ascend within a node, so a repeat sits next to its twin
@@ -296,17 +289,72 @@ def dumps_canonical(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _place_half_edges(indptr, halves, out):
+    """Counting placement of half-edges into CSR slots.
+
+    ``halves`` holds two ``(node, neighbor, port, neighbor port, dim,
+    sign)`` column tuples, the edges seen from each end; ``out`` the
+    ``(nbr, my_port, nbr_port, dim, sign)`` storage.  Each node's ports
+    (below 16) are first OR-ed into one bit mask; the slot of a half-edge
+    is then ``indptr[node]`` plus the number of the node's ports below its
+    own.  Pieces of ``PLACE_CHUNK`` half-edges bound the temporaries.
+    Returns the first node with a repeated port (fewer distinct ports than
+    half-edges), or None.
+    """
+    n = indptr.size - 1
+    pieces = [[col[lo:lo + PLACE_CHUNK] for col in half] for half in halves
+              for lo in range(0, half[0].size, PLACE_CHUNK)]
+    one = np.uint16(1)
+    ports = np.zeros(n, np.uint16)
+    for x, _, port, *_ in pieces:
+        np.bitwise_or.at(ports, x, one << port.astype(np.uint16))
+    for lo in range(0, n, PLACE_CHUNK):
+        short = np.flatnonzero(np.bitwise_count(ports[lo:lo + PLACE_CHUNK])
+                               != np.diff(indptr[lo:lo + PLACE_CHUNK + 1]))
+        if short.size:
+            return lo + int(short[0])
+    for x, *cols in pieces:
+        below = ports[x] & ((one << cols[1].astype(np.uint16)) - one)
+        slot = indptr[x].astype(np.intp)
+        slot += np.bitwise_count(below)
+        for dst, src in zip(out, cols):
+            dst[slot] = src
+    return None
+
+
+def slot_owners(indptr):
+    """The node of each CSR slot (half-edge), in slot order."""
+    return np.repeat(np.arange(indptr.size - 1, dtype=np.int32), np.diff(indptr))
+
+
+def reduce_slots(indptr, ufunc, values, empty):
+    """``ufunc`` reduced over each node's CSR slots of ``values`` (one entry
+    per half-edge), one LOCAL round of gathering; ``empty`` (a scalar or a
+    node array) at nodes without slots."""
+    has = np.diff(indptr) > 0
+    if has.all() and values.size:
+        return ufunc.reduceat(values, indptr[:-1])
+    out = np.array(np.broadcast_to(empty, has.shape))
+    if values.size:
+        out[has] = ufunc.reduceat(values, indptr[:-1][has])
+    return out
+
+
+def frontier_slots(indptr, nodes):
+    """CSR slot indices of the half-edges of ``nodes``, concatenated in
+    the order of ``nodes`` (each node's slots in port order)."""
+    lo = indptr[nodes]
+    cnt = indptr[nodes + 1] - lo
+    return np.repeat(lo - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
+
+
 def _reaches_all(indptr, nbr, n):
     """Level-synchronous frontier BFS from node 0 over CSR arrays."""
     seen = np.zeros(n, bool)
     seen[0] = True
     frontier = np.zeros(1, np.int64)
     while frontier.size:
-        lo = indptr[frontier]
-        cnt = indptr[frontier + 1] - lo
-        # slot ranges [lo, lo + cnt) of every frontier node, concatenated
-        idx = np.repeat(lo - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
-        nb = nbr[idx]
+        nb = nbr[frontier_slots(indptr, frontier)]
         # sorted, then deduplicated (np.unique would pull in numpy.ma)
         nb = np.sort(nb[~seen[nb]])
         frontier = nb[np.diff(nb, prepend=-1) != 0]

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidInstanceError, InvalidLabelingError
-from .graph import bfs_distances, edge_key
+import numpy as np
+
+from .errors import InvalidInstanceError, InvalidLabelingError, InvalidParameterError
+from .graph import bfs_distances, edge_key, reduce_slots, slot_owners
 
 
 @dataclass(frozen=True)
@@ -74,15 +76,34 @@ def verifier_report(problem, results):
 
 def verify_weak_coloring(g, phi, c, k):
     """Per-node pass/fail for distance-k weak c-coloring: node v passes iff
-    some node within distance k carries a different color."""
+    some node within distance k carries a different color.  The colors go
+    through k whole-array min/max sweeps (:func:`other_color_level`)."""
+    colors = []
     for v in range(g.n):
         col = phi[v]
         if not isinstance(col, int) or not 1 <= col <= c:
             raise InvalidLabelingError(f"color {col!r} of node {v} outside 1..{c}")
-    results = {}
-    for v in range(g.n):
-        results[v] = _sees_other_color(g, v, phi, k)
-    return results
+        colors.append(col)
+    level = other_color_level(g, np.array(colors), k)
+    return dict(zip(range(g.n), (level > 0).tolist()))
+
+
+def other_color_level(g, colors, k):
+    """Per node, the smallest distance ``<= k`` at which some node carries
+    a color other than its own (0 where there is none): k sweeps of the
+    ball minimum and maximum over ``g.csr()``, one LOCAL round each.  A
+    ball holds another color iff its minimum or its maximum differs from
+    the center's color."""
+    indptr, nbr = g.csr()[:2]
+    level = np.zeros(g.n, np.int64)
+    lo = hi = colors
+    for d in range(1, k + 1):
+        lo = np.minimum(lo, reduce_slots(indptr, np.minimum, lo[nbr], lo))
+        hi = np.maximum(hi, reduce_slots(indptr, np.maximum, hi[nbr], hi))
+        level[(level == 0) & ((lo != colors) | (hi != colors))] = d
+        if level.all():
+            break
+    return level
 
 
 def _sees_other_color(g, v, phi, k):
@@ -203,8 +224,75 @@ def pointer_happy(g, v, labels, delta):
 
 
 def verify_pointer_labeling(g, labels, delta):
-    """Per-node pass/fail of the pointer problem; the checker is total."""
-    return {v: pointer_happy(g, v, labels, delta) for v in range(g.n)}
+    """Per-node pass/fail of the pointer problem; the checker is total.
+    Every node is judged at once by :func:`_pointer_verdicts`."""
+    ok, bad_port = _pointer_verdicts(g, labels, delta)
+    if bad_port is not None:
+        g.neighbor_by_port(*bad_port[1:])     # raises InvalidParameterError
+    return dict(zip(range(g.n), ok.tolist()))
+
+
+def _pointer_verdicts(g, labels, delta, judged=None):
+    """:func:`pointer_happy` at every node where ``judged`` holds (all nodes
+    if None), as whole-array gathers over ``g.csr()``.
+
+    Returns the verdict array and, if some judged node would look up a
+    port its node lacks, ``(judged node, node, port)`` for the first such
+    judged node (else None); :func:`pointer_happy` raises there.  Degree
+    guesses are compared as Python values: each distinct guess gets one
+    code, and the degrees ``0..delta`` get their own value as code.
+    """
+    n = g.n
+    deg = np.diff(g.csr()[0])
+    labs = [labels.get(v) for v in range(n)]
+    has = np.array([lab is not None for lab in labs], bool)
+    codes = {d: d for d in range(g.delta + 1)}
+    guess = np.array([codes.setdefault(lab.d, len(codes)) if lab is not None else -1
+                      for lab in labs], np.int64)
+    ports = [None if lab is None else lab.port for lab in labs]
+    to = _pointer_targets(g, ports)
+    if judged is None:
+        judged = np.ones(n, bool)
+    pointing = to != -1
+    ok = judged & has & np.where(deg == delta, pointing, ~pointing & (guess == deg))
+    check = ok & pointing
+    u = np.where(check & (to >= 0), to, 0)
+    agree = check & (to >= 0) & (guess[u] == guess)     # -1: u unlabeled
+    to_u = to[u]
+    ok &= ~check | (agree & np.where(to_u >= 0, to_u != np.arange(n),
+                                     (to_u == -1) & (deg[u] == guess)))
+    own_bad = check & (to == -2)
+    next_bad = agree & (to_u == -2)
+    first = np.flatnonzero(own_bad | next_bad)
+    if not first.size:
+        return ok, None
+    v = int(first[0])
+    w = v if own_bad[v] else int(u[v])
+    return ok, (v, w, ports[w])
+
+
+def _pointer_targets(g, ports):
+    """The node each pointer reaches: -1 for no pointer (port None), -2
+    where the node has no such port.  Integer ports are looked up in one
+    (node, port) table; other values go through ``neighbor_by_port``."""
+    n, width = g.n, max(g.delta, 1)
+    pointing = np.array([p is not None for p in ports], bool)
+    to = np.where(pointing, -2, -1)
+    if not {type(p) for p in ports} <= {int, type(None)}:
+        for v in np.flatnonzero(pointing).tolist():
+            try:
+                to[v] = g.neighbor_by_port(v, ports[v])
+            except InvalidParameterError:
+                pass
+        return to
+    port = np.array([p if p is not None and 0 <= p < width else -1 for p in ports],
+                    np.int64)
+    indptr, nbr, my_port = g.csr()[:3]
+    by_port = np.full(n * width, -2, np.int64)
+    by_port[slot_owners(indptr).astype(np.int64) * width + my_port] = nbr
+    inside = np.flatnonzero(port >= 0)
+    to[inside] = by_port[inside * width + port[inside]]
+    return to
 
 
 def walk_pointer_chain(g, labels, v, limit=None):
@@ -245,13 +333,18 @@ def verify_homogeneous(g, labels, inner_verifier, delta):
     pointer_part = {v: lab.pointer for v, lab in labels.items()
                     if lab.pointer is not None}
     inner_part = {v: lab.inner for v, lab in labels.items()}
+    labs = [labels.get(v) for v in range(g.n)]
+    on_pointer = [lab is not None and lab.pointer is not None for lab in labs]
+    ok, bad_port = _pointer_verdicts(g, pointer_part, delta, np.array(on_pointer, bool))
     results = {}
-    for v in range(g.n):
-        lab = labels.get(v)
+    for v, lab, pointer_ok in zip(range(g.n if bad_port is None else bad_port[0]),
+                                  labs, ok.tolist()):
         if lab is None:
             results[v] = False
         elif lab.pointer is not None:
-            results[v] = pointer_happy(g, v, pointer_part, delta)
+            results[v] = pointer_ok
         else:
             results[v] = bool(inner_verifier(g, v, inner_part))
+    if bad_port is not None:
+        g.neighbor_by_port(*bad_port[1:])     # raises InvalidParameterError
     return results

@@ -218,9 +218,9 @@ class EdgeSpeedupConstruction:
                         for side, d in sides.items()}
         return out
 
-    def _tables(self, f):
+    def _tables(self, f, masks=None):
         c = self.source.c
-        masks = self.frequent_masks(f)
+        masks = self.frequent_masks(f) if masks is None else masks
         return {dim: (masks[dim]["P"] << c) | masks[dim]["M"] for dim in masks}
 
     def edge_table(self, f):
@@ -228,19 +228,22 @@ class EdgeSpeedupConstruction:
                          labels=self.labels, tables=self._tables(f),
                          name=f"{self.source.name or 'node-alg'}->edges")
 
-    def local_failure(self, f):
+    def local_failure(self, f, masks=None):
+        """Exact failure of the derived edge algorithm at threshold f;
+        ``masks`` are ``frequent_masks(f)`` when the caller has them."""
         return _edge_failure(self.cfg.delta, self.rounds, self.cfg.b,
-                             self._tables(f), self.codes)
+                             self._tables(f, masks), self.codes)
 
-    def goodness_violation(self, f):
+    def goodness_violation(self, f, masks=None):
         """Pr[some incident edge's frequent set omits the center's color].
 
         The radius-(t-1) edge balls sit inside the center's radius-t ball,
         so goodness is a deterministic event per center assignment.
+        ``masks`` are ``frequent_masks(f)`` when the caller has them.
         """
         delta, t, b = self.cfg.delta, self.source.t, self.cfg.b
         m = len(ball_paths(delta, t))
-        masks = self.frequent_masks(f)
+        masks = self.frequent_masks(f) if masks is None else masks
         out = self.source.table
         good = np.ones(out.size, dtype=bool)
         for direction in range(delta):
@@ -301,12 +304,26 @@ class NodeSpeedupConstruction:
     completion_bits: int
 
     def node_table(self, f):
+        """The derived table at threshold f.  A node's color packs its
+        directions' c-bit frequent-set masks, direction i at bits i*c.
+        The directions are folded in one at a time; before a mask would be
+        shifted past bit 62, the running code is replaced by its rank among
+        the distinct codes (one 1-D ``np.unique``), so colors stay
+        non-negative int64 and equal exactly where the mask rows are equal.
+        Up to ``delta*c = 62`` bits, which covers every CLI config, the
+        color is the plain packing."""
         c = self.source.c
         masks = _threshold_mask(self.dists, f, self.completion_bits)
-        shifts = np.arange(self.cfg.delta, dtype=np.int64) * c
-        packed = np.bitwise_or.reduce(masks << shifts, axis=1)
+        code, width = masks[:, 0], c
+        for direction in range(1, self.cfg.delta):
+            if width + c > 62:
+                _, code = np.unique(code, return_inverse=True)
+                code = code.reshape(-1).astype(np.int64)
+                width = int(code.max()).bit_length()
+            code = code | (masks[:, direction] << width)
+            width += c
         return NodeTable(delta=self.cfg.delta, t=self.rounds, b=self.cfg.b,
-                         c=1 << (self.cfg.delta * c), table=packed,
+                         c=1 << (self.cfg.delta * c), table=code,
                          name=f"{self.source.name or 'edge-alg'}->nodes")
 
     def local_failure(self, f):
@@ -429,14 +446,17 @@ def verify_speedup_inequality(g, source, derived, cfg, direction,
         p = edge_local_failure(source)
 
     def evaluate(f):
-        p_prime = construction.local_failure(f)
-        rhs = inequality_rhs(direction, p_prime, cfg.c, f, cfg.delta)
-        pt = GridPoint(f=f, p_prime=p_prime, rhs=rhs, holds=p >= rhs)
         if direction == 1:
-            gv = construction.goodness_violation(f)
-            pt.goodness_violation = gv
-            pt.goodness_holds = gv <= cfg.delta * cfg.c * f
-        return pt
+            # one thresholding serves the failure and the goodness check
+            masks = construction.frequent_masks(f)
+            p_prime = construction.local_failure(f, masks)
+            gv = construction.goodness_violation(f, masks)
+        else:
+            p_prime, gv = construction.local_failure(f), None
+        rhs = inequality_rhs(direction, p_prime, cfg.c, f, cfg.delta)
+        return GridPoint(f=f, p_prime=p_prime, rhs=rhs, holds=p >= rhs,
+                         goodness_violation=gv,
+                         goodness_holds=None if gv is None else gv <= cfg.delta * cfg.c * f)
 
     at_f = evaluate(cfg.f)
     f_star = optimizing_f(direction, at_f.p_prime, cfg.c, cfg.delta)

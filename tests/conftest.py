@@ -1,25 +1,38 @@
 """Shared random-instance builders for the test suite."""
 
 import random
+from bisect import bisect_left
 
 from lclsim.graph import PortedGraph, edge_key, gen_regular_tree
+
+
+def _attachment_tree(n, delta, rng, deg):
+    """Edges ``[u, v, port_u, 0]`` of a random attachment tree: node v joins
+    a uniformly chosen open node (degree below delta, or the newest).
+
+    ``open_nodes`` is ascending (nodes are appended in increasing order),
+    so a full node is found by bisection: ``list.remove`` compared its way
+    along the list and made large trees quadratic.  The list, and so every
+    ``rng.choice`` draw, is the same."""
+    edges = []
+    open_nodes = [0]
+    for v in range(1, n):
+        u = rng.choice(open_nodes)
+        edges.append([u, v, deg[u], 0])
+        deg[u] += 1
+        deg[v] = 1
+        if deg[u] >= delta:
+            del open_nodes[bisect_left(open_nodes, u)]
+        open_nodes.append(v)
+    return edges
 
 
 def random_tree(n, delta, seed):
     """Random attachment tree with maximum degree delta, sequential ports."""
     rng = random.Random(seed)
-    deg = [0] * n
-    edges = []
-    open_nodes = [0]
-    for v in range(1, n):
-        u = rng.choice(open_nodes)
-        edges.append((u, v, deg[u], 0))
-        deg[u] += 1
-        deg[v] = 1
-        if deg[u] >= delta:
-            open_nodes.remove(u)
-        open_nodes.append(v)
-    return PortedGraph.from_edges(n, edges, delta=delta, meta={"center": 0})
+    edges = _attachment_tree(n, delta, rng, [0] * n)
+    return PortedGraph.from_edges(n, [tuple(e) for e in edges], delta=delta,
+                                  meta={"center": 0})
 
 
 def random_graph(n, delta, seed, extra_edges=None):
@@ -27,18 +40,8 @@ def random_graph(n, delta, seed, extra_edges=None):
     extra edges wherever degrees allow."""
     rng = random.Random(seed)
     deg = [0] * n
-    pairs = set()
-    edges = []
-    open_nodes = [0]
-    for v in range(1, n):
-        u = rng.choice(open_nodes)
-        edges.append([u, v, deg[u], 0])
-        pairs.add(edge_key(u, v))
-        deg[u] += 1
-        deg[v] = 1
-        if deg[u] >= delta:
-            open_nodes.remove(u)
-        open_nodes.append(v)
+    edges = _attachment_tree(n, delta, rng, deg)
+    pairs = {edge_key(u, v) for u, v, _, _ in edges}
     if extra_edges is None:
         extra_edges = max(1, n // 8)
     tries = 0

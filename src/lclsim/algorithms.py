@@ -11,7 +11,6 @@ rule one node applies inside its own view.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -20,7 +19,7 @@ import numpy as np
 from .engine import run_node_algorithm
 from .errors import InvalidInputError, PSolverViolation
 from .graph import CycleIndex, frontier_slots, reduce_slots, slot_owners
-from .problems import HomogeneousLabel, PointerLabel, verify_weak_coloring
+from .problems import HomogeneousLabel, PointerLabel, label_array, verify_weak_coloring
 
 
 # ---------------------------------------------------------------------------
@@ -54,29 +53,14 @@ def weak_to_weak2c(g, phi, k, c, validate=True):
         if bad:
             raise InvalidInputError(
                 f"not a valid distance-{k} weak {c}-coloring; offenders {bad[:5]}")
-    colors = np.array([phi[v] for v in range(g.n)])
-    target, dist, first_port = _recolor_sweeps(g, colors, k)
-    out = dict(zip(range(g.n), ((colors - 1) * 2 + dist % 2 + 1).tolist()))
-    return out, k, _RecolorDetails(target, dist, first_port)
-
-
-class _RecolorDetails(Mapping):
-    """Node -> :class:`RecolorDetail`, made on access from the sweep's
-    arrays (most callers never read it)."""
-
-    def __init__(self, target, dist, first_port):
-        self._columns = (target.tolist(), dist.tolist(), first_port.tolist())
-
-    def __getitem__(self, v):
-        if v not in range(len(self)):
-            raise KeyError(v)
-        return RecolorDetail(*(col[v] for col in self._columns))
-
-    def __iter__(self):
-        return iter(range(len(self)))
-
-    def __len__(self):
-        return len(self._columns[0])
+    colors = [phi[v] for v in range(g.n)]
+    target, dist, first_port = _recolor_sweeps(g, label_array(colors), k)
+    dist = dist.tolist()
+    # Python ints: a palette may pass int64
+    out = {v: (col - 1) * 2 + d % 2 + 1 for v, col, d in zip(range(g.n), colors, dist)}
+    detail = dict(zip(range(g.n), map(RecolorDetail, target.tolist(), dist,
+                                      first_port.tolist())))
+    return out, k, detail
 
 
 # fields of a packed search entry, high to low: distance, first port + 1
@@ -190,7 +174,7 @@ def build_pseudoforest(g, phi2):
     """Each node picks its smallest-port neighbor of a different color
     (the first such slot of its CSR range)."""
     indptr, nbr, my_port = g.csr()[:3]
-    colors = np.array([phi2[v] for v in range(g.n)])
+    colors = label_array([phi2[v] for v in range(g.n)])
     src = slot_owners(indptr)
     slots = np.flatnonzero(colors[nbr] != colors[src])
     first = slots[np.diff(src[slots], prepend=-1) != 0]
@@ -226,7 +210,7 @@ def _pointer_arrays(pf, labels):
     """The nodes of ``labels`` (in its order), their values as an array and
     the position of each node's pointer target among them."""
     nodes = list(labels)
-    values = np.array([labels[v] for v in nodes])
+    values = label_array([labels[v] for v in nodes])
     parents = [pf.parent[v] for v in nodes]
     if nodes != list(range(len(nodes))):
         pos = {v: i for i, v in enumerate(nodes)}
@@ -243,8 +227,7 @@ def cole_vishkin_reduce(pf, colors, c_prime):
     step.  Every step relabels all nodes at once over the parent array.
     Returns (coloring in {1,2,3}, rounds).
     """
-    nodes, x, par = _pointer_arrays(pf, colors)
-    x = x - 1
+    nodes, x, par = _pointer_arrays(pf, {v: col - 1 for v, col in colors.items()})
     agree = np.flatnonzero(x == x[par])
     if agree.size:
         raise InvalidInputError(f"colors of {nodes[agree[0]]} and its pointer target agree")
@@ -560,29 +543,11 @@ def homogeneous_dispatch(g, p_solver, p_verifier, r, assignment):
     k = p_solver.rounds + r
     pointer_labels = solve_pointer_labeling_local(g, k, assignment)
     inner = run_node_algorithm(g, p_solver, assignment)
-    labels = _homogeneous_labels(g.n, inner, pointer_labels)
+    labels = {v: HomogeneousLabel(inner=inner.get(v), pointer=pointer_labels.get(v))
+              for v in range(g.n)}
     bad = [v for v in range(g.n)
            if v not in pointer_labels and not p_verifier(g, v, inner)]
     if bad:
         raise PSolverViolation(
             f"inner solver rejected on regular balls at nodes {bad[:5]}")
     return labels
-
-
-def _homogeneous_labels(n, inner, pointer_labels):
-    """``v -> HomogeneousLabel(inner[v], pointer_labels[v])``.  Equal pairs
-    share one frozen label: inner values of the plain types by type and
-    value (equal ones print alike, unlike 0.0 and -0.0), pointer labels by
-    identity (tree pointer labels are shared already)."""
-    shared = {}
-
-    def label(i, p):
-        if type(i) not in (int, str, bool, type(None)):
-            return HomogeneousLabel(inner=i, pointer=p)
-        key = (type(i), i, id(p))
-        lab = shared.get(key)
-        if lab is None:
-            lab = shared[key] = HomogeneousLabel(inner=i, pointer=p)
-        return lab
-
-    return {v: label(inner.get(v), pointer_labels.get(v)) for v in range(n)}

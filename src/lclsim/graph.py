@@ -301,22 +301,20 @@ def _place_half_edges(indptr, halves, out):
     Returns the first node with a repeated port (fewer distinct ports than
     half-edges), or None.
     """
-    n = indptr.size - 1
     pieces = [[col[lo:lo + PLACE_CHUNK] for col in half] for half in halves
               for lo in range(0, half[0].size, PLACE_CHUNK)]
     one = np.uint16(1)
-    ports = np.zeros(n, np.uint16)
+    ports = np.zeros(indptr.size - 1, np.uint16)
     for x, _, port, *_ in pieces:
         np.bitwise_or.at(ports, x, one << port.astype(np.uint16))
-    for lo in range(0, n, PLACE_CHUNK):
+    for lo in range(0, ports.size, PLACE_CHUNK):
         short = np.flatnonzero(np.bitwise_count(ports[lo:lo + PLACE_CHUNK])
                                != np.diff(indptr[lo:lo + PLACE_CHUNK + 1]))
         if short.size:
             return lo + int(short[0])
     for x, *cols in pieces:
-        below = ports[x] & ((one << cols[1].astype(np.uint16)) - one)
-        slot = indptr[x].astype(np.intp)
-        slot += np.bitwise_count(below)
+        below = (one << cols[1].astype(np.uint16)) - one
+        slot = indptr[x] + np.bitwise_count(ports[x] & below)
         for dst, src in zip(out, cols):
             dst[slot] = src
     return None

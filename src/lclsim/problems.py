@@ -84,8 +84,16 @@ def verify_weak_coloring(g, phi, c, k):
         if not isinstance(col, int) or not 1 <= col <= c:
             raise InvalidLabelingError(f"color {col!r} of node {v} outside 1..{c}")
         colors.append(col)
-    level = other_color_level(g, np.array(colors), k)
+    level = other_color_level(g, label_array(colors), k)
     return dict(zip(range(g.n), (level > 0).tolist()))
+
+
+def label_array(values):
+    """Integer labels as an int64 array; as an object array of the values
+    themselves where numpy would pick another type (ints past int64 would
+    become uint64 or lossy float64)."""
+    x = np.array(values)
+    return x if x.dtype.kind == "i" else np.array(values, object)
 
 
 def other_color_level(g, colors, k):

@@ -6,7 +6,9 @@ dicts; the stated round counts are the LOCAL-model accounting of each
 stage (a stage needing information from distance d costs d rounds).  A
 round runs for all nodes at once, as whole-array passes over
 ``g.csr()``; the per-node :func:`_closest_other_color` remains as the
-rule one node applies inside its own view.
+rule one node applies inside its own view.  One pointer-labelling pass
+(:func:`_pointer_labels`) serves trees and cyclic graphs alike; on a
+cyclic graph only the nodes that prefer a cycle are set one by one.
 """
 
 from __future__ import annotations
@@ -280,7 +282,7 @@ class PipelineResult:
     three_coloring: dict
 
 
-def weak_family_to_weak2(g, phi, k, c, validate=True):
+def weak_family_to_weak2(g, phi, k, c):
     """Distance-k weak c-coloring -> weak 2-coloring, constant extra rounds.
 
     Four stages, each a whole-array LOCAL algorithm: recolor by the parity
@@ -289,7 +291,7 @@ def weak_family_to_weak2(g, phi, k, c, validate=True):
     colors over the parent array, then the greedy MIS one color class at a
     time.
     """
-    phi2, r_recolor, _ = weak_to_weak2c(g, phi, k, c, validate=validate)
+    phi2, r_recolor, _ = weak_to_weak2c(g, phi, k, c)
     pf = build_pseudoforest(g, phi2)
     psi, r_cv = cole_vishkin_reduce(pf, phi2, 2 * c)
     labels, r_mis = mis_to_weak2(pf, psi)
@@ -310,7 +312,10 @@ def _low_degree_map(g, ids):
     """Every node's preferred low-degree target (distance, then degree,
     then identifier), the distance, and a neighbor one step closer to the
     target, as int64 arrays ``(target, dist, pred)``; target and pred are
-    -1 (dist 0) where no low-degree node is reachable.
+    -1 (dist 0) where no low-degree node is reachable.  ``pred`` is the
+    lowest-numbered such neighbor, not the pointer: a pointer takes the
+    smallest port toward any neighbor one step closer to the same target
+    (:func:`_pointer_labels`), and the two differ where a cycle offers two.
 
     A level-synchronous multi-source BFS over ``g.csr()`` from all
     low-degree nodes: a node reached first at level d takes, among its
@@ -343,23 +348,20 @@ def _low_degree_map(g, ids):
     return target, dist, pred
 
 
-def _ids(g, assignment):
+def _pointer_setup(g, assignment):
+    """The low-degree map and, unless ``g`` is a tree, a :class:`CycleIndex`
+    over the identifiers of ``assignment`` (None on a tree)."""
     if assignment is None or assignment.ids is None:
         raise InvalidInputError("pointer solving needs identifiers")
-    return [assignment.ids[v] for v in range(g.n)]
+    ids = [assignment.ids[v] for v in range(g.n)]
+    cycles = None if g.edge_count() == g.n - 1 else CycleIndex(g, ids)
+    return _low_degree_map(g, ids), cycles
 
 
-def _first_neighbor(g, v, closer):
-    """Smallest-port neighbor of v for which ``closer`` holds."""
-    for w in g.adjacent(v):
-        if closer(w):
-            return w
-    raise InvalidInputError(f"no descent from {v} toward its target")
-
-
-def _pointer_labels(g, r, ids, low, cycles):
+def _pointer_labels(g, r, low, cycles=None):
     """Labels of the constructive case analysis at radius r, from the
-    low-degree map ``low`` and a :class:`CycleIndex` that is exact up to r at every full-degree node.
+    low-degree map ``low`` and, on a cyclic graph, the graph's
+    :class:`CycleIndex`, first made exact up to r at every full-degree node.
 
     Low-degree nodes label themselves.  A full-degree node prefers its best
     cycle within effective distance r over any low-degree node, and
@@ -369,43 +371,59 @@ def _pointer_labels(g, r, ids, low, cycles):
     term would otherwise break the shared degree guess.)  Cycle members
     follow the orientation fixed by the cycle's smallest-identifier node
     pointing toward its smaller cycle neighbor.  Everyone else points to
-    its smallest-port neighbor one step closer to its target, guessing the
-    target's degree unless some node further along prefers a cycle, in
-    which case the guess is 0.  Distances to a cycle count full-degree
-    paths only, so a chain toward a cycle never meets a low-degree node.
+    its smallest-port neighbor one step closer to its target (on a tree,
+    its predecessor), guessing the target's degree unless some node further
+    along prefers a cycle, in which case the guess is 0.  Distances to a
+    cycle count full-degree paths only, so a chain toward a cycle never
+    meets a low-degree node.
+
+    Every node takes its low-degree guess and port in one pass over
+    ``g.csr()``; the cycle-preferring nodes are then set one by one, and
+    guess 0 travels back along the chains one BFS level at a time.  Equal
+    labels share one frozen :class:`PointerLabel`.
     """
-    target, dist = low[0].tolist(), low[1].tolist()
-    best = cycles.best
-
-    def cycle_of(v):
-        b = best[v]
-        return b if b is not None and b[0] <= r else None
-
-    labels = {}
-    successors = {}       # canonical cycle -> its successor map
-    zero_ahead = {}       # low-degree chains: a cycle-preferring node lies ahead
-    # increasing distance: a chain's next node is settled before its tail
-    for v in np.argsort(low[1], kind="stable").tolist():
-        if g.degree(v) < g.delta:
-            labels[v] = PointerLabel(d=g.degree(v), port=None)
-            continue
-        b = cycle_of(v)
-        if b is not None:
-            eff, key = b
+    target, dist, _ = low
+    indptr, nbr, my_port = g.csr()[:3]
+    deg = np.diff(indptr)
+    src = slot_owners(indptr)
+    # the first CSR slot (smallest port) toward a node one step closer to
+    # the same target
+    closer = np.flatnonzero((target[nbr] == target[src]) & (dist[nbr] == dist[src] - 1))
+    first = closer[np.diff(src[closer], prepend=-1) != 0]
+    port = np.full(g.n, -1, np.int64)
+    port[src[first]] = my_port[first]
+    low_degree = deg < g.delta
+    guess = np.where(low_degree, deg, deg[target])
+    labeled = (dist <= r) & (low_degree | (target >= 0))
+    if cycles is not None:
+        cycles.require(dict.fromkeys(np.flatnonzero(cycles.full).tolist(), r))
+        best = cycles.best
+        prefers = np.array([b is not None and b[0] <= r for b in best], bool)
+        successors = {}       # canonical cycle -> its successor map
+        for v in np.flatnonzero(prefers).tolist():
+            eff, key = best[v]
             cyc = key[2]
             if cyc not in successors:
-                successors[cyc] = _cycle_successor(cyc, ids)
+                successors[cyc] = _cycle_successor(cyc, cycles.ids)
             succ = successors[cyc]
-            w = succ[v] if v in succ else _first_neighbor(
-                g, v, lambda w: best[w] == (eff - 1, key))
-            labels[v] = PointerLabel(d=0, port=g.port_toward(v, w))
-        elif target[v] >= 0 and dist[v] <= r:
-            u, d = target[v], dist[v]
-            w = _first_neighbor(g, v, lambda w: target[w] == u and dist[w] == d - 1)
-            zero_ahead[v] = cycle_of(w) is not None or zero_ahead.get(w, False)
-            labels[v] = PointerLabel(d=0 if zero_ahead[v] else g.degree(u),
-                                     port=g.port_toward(v, w))
-    return labels
+            w = succ[v] if v in succ else next(
+                u for u in g.adjacent(v) if best[u] == (eff - 1, key))
+            port[v] = g.port_toward(v, w)
+        # a chain guesses 0 when a cycle-preferring node lies ahead on it
+        ahead = np.full(g.n, -1, np.int64)
+        ahead[src[first]] = nbr[first]
+        chain = np.flatnonzero(labeled & ~low_degree & ~prefers)
+        chain = chain[np.argsort(dist[chain], kind="stable")]
+        zero = prefers.copy()
+        for level in np.split(chain, np.flatnonzero(np.diff(dist[chain])) + 1):
+            zero[level] = zero[ahead[level]]
+        guess[zero] = 0
+        labeled |= prefers
+    nodes = np.flatnonzero(labeled)
+    shared = [PointerLabel(d=d, port=p if p >= 0 else None)
+              for d in range(g.delta) for p in range(-1, g.delta)]
+    return dict(zip(nodes.tolist(), map(shared.__getitem__,
+                                        (guess * (g.delta + 1) + port + 1)[nodes].tolist())))
 
 
 def solve_pointer_labeling_local(g, r, assignment):
@@ -414,13 +432,7 @@ def solve_pointer_labeling_local(g, r, assignment):
     analysis is that of :func:`_pointer_labels`.  Needs identifiers;
     gathers radius r plus another r of look-ahead.
     """
-    ids = _ids(g, assignment)
-    low = _low_degree_map(g, ids)
-    if g.edge_count() == g.n - 1:
-        return _tree_labels(g, r, low)
-    cycles = CycleIndex(g, ids)
-    cycles.require({v: r for v in range(g.n) if cycles.full[v]})
-    return _pointer_labels(g, r, ids, low, cycles)
+    return _pointer_labels(g, r, *_pointer_setup(g, assignment))
 
 
 def _cycle_successor(cyc, ids):
@@ -429,34 +441,8 @@ def _cycle_successor(cyc, ids):
     neighbor."""
     k = len(cyc)
     pos = min(range(k), key=lambda i: ids[cyc[i]])
-    nxt, prv = cyc[(pos + 1) % k], cyc[(pos - 1) % k]
-    forward = ids[nxt] < ids[prv]
-    succ = {}
-    for i, v in enumerate(cyc):
-        succ[v] = cyc[(i + 1) % k] if forward else cyc[(i - 1) % k]
-    return succ
-
-
-def _tree_labels(g, r, low):
-    """Labels of the nodes within distance r of their target, from the
-    low-degree map of a tree: low-degree nodes guess their own degree and
-    point nowhere, the others guess their target's degree and point at
-    the CSR slot of their predecessor.  Equal labels share one frozen
-    :class:`PointerLabel`."""
-    target, dist, pred = low
-    indptr, nbr, my_port = g.csr()[:3]
-    deg = np.diff(indptr)
-    src = slot_owners(indptr)
-    toward = nbr == pred[src]
-    port = np.full(g.n, -1, np.int64)
-    port[src[toward]] = my_port[toward]
-    low_degree = deg < g.delta
-    nodes = np.flatnonzero((dist <= r) & (low_degree | (target >= 0)))
-    guess = np.where(low_degree, deg, deg[target])[nodes]
-    shared = [PointerLabel(d=d, port=p if p >= 0 else None)
-              for d in range(g.delta) for p in range(-1, g.delta)]
-    return dict(zip(nodes.tolist(), map(shared.__getitem__,
-                                        (guess * (g.delta + 1) + port[nodes] + 1).tolist())))
+    step = 1 if ids[cyc[(pos + 1) % k]] < ids[cyc[pos - 1]] else -1
+    return {v: cyc[(i + step) % k] for i, v in enumerate(cyc)}
 
 
 def solve_pointer_labeling(g, assignment, metrics=None):
@@ -466,33 +452,23 @@ def solve_pointer_labeling(g, assignment, metrics=None):
     rounds = that radius.  On cyclic graphs one :class:`CycleIndex` serves
     the radius and the labels.  A ``metrics`` dict receives the radius and
     the cycle search's work counts."""
-    ids = _ids(g, assignment)
-    low = _low_degree_map(g, ids)
-    target, dist = low[0].tolist(), low[1].tolist()
-    cycles = None
-    if g.edge_count() == g.n - 1:
-        rounds = max(dist)
-    else:
-        cycles = CycleIndex(g, ids)
-        full = [v for v in range(g.n) if cycles.full[v]]
+    low, cycles = _pointer_setup(g, assignment)
+    target, dist, _ = low
+    unbounded = 2 * g.n
+    near = np.where(target >= 0, dist, unbounded)
+    if cycles is not None:
+        full = np.flatnonzero(cycles.full).tolist()
         # a cycle moves a node's smallest effective distance only where it
         # beats the closest low-degree node
-        unbounded = 2 * g.n
-        cycles.require({v: unbounded if target[v] < 0 else dist[v] - 1
-                        for v in full})
-        rounds = 0
-        for v in full:
-            b = cycles.best[v]
-            near = min(unbounded if b is None else b[0],
-                       unbounded if target[v] < 0 else dist[v])
-            if near == unbounded:
-                raise InvalidInputError(f"node {v} sees no irregularity")
-            rounds = max(rounds, near)
-        cycles.require({v: rounds for v in full})
-    if cycles is None:
-        labels = _tree_labels(g, rounds, low)
-    else:
-        labels = _pointer_labels(g, rounds, ids, low, cycles)
+        cycles.require(dict(zip(full, np.where(target >= 0, dist - 1, unbounded)[full].tolist())))
+        near = np.minimum(near, [unbounded if b is None else b[0] for b in cycles.best])
+        lost = np.flatnonzero(near == unbounded)
+        if lost.size:
+            raise InvalidInputError(f"node {lost[0]} sees no irregularity")
+    # on a tree without a low-degree node nothing is in reach: radius 0,
+    # and every node stays unlabeled
+    rounds = int(near[near < unbounded].max(initial=0))
+    labels = _pointer_labels(g, rounds, low, cycles)
     missing = [v for v in range(g.n) if v not in labels]
     if missing:
         raise InvalidInputError(f"nodes {missing[:5]} still unlabeled at r={rounds}")

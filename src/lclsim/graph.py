@@ -721,14 +721,14 @@ def _cycles_in_ball(g, dist, r):
     return [canonical_cycle(c) for c in _simple_cycles(adj, 3, 2 * r, full)]
 
 
-def ball_irregularities(g, v, r, ids=None, _cycle_cache=None):
+def ball_irregularities(g, v, r, ids=None):
     """Best low-degree irregularity and best cycle irregularity within
     effective distance r of v, as ``(key, Irregularity)`` pairs (or None).
 
     Low-degree keys order by (distance, degree, identifier); cycle keys by
     (effective distance, maximum identifier, identifier sequence), and the
     canonical tuple breaks what ties remain.  The cycles come from a search
-    of the ball; ``_cycle_cache`` is accepted and ignored.
+    of the ball.
     """
     if ids is None:
         ids = range(g.n)
@@ -753,7 +753,7 @@ def ball_irregularities(g, v, r, ids=None, _cycle_cache=None):
     return low, (key, Irregularity("cycle", cyc, key[0]))
 
 
-def closest_irregularity(g, v, r, ids=None, _cycle_cache=None):
+def closest_irregularity(g, v, r, ids=None):
     """Irregularity of minimum effective distance <= r seen from v.
 
     Preference at equal effective distance: cycles before low-degree nodes;
@@ -762,7 +762,7 @@ def closest_irregularity(g, v, r, ids=None, _cycle_cache=None):
     identifier.  Returns None when nothing qualifies (in particular whenever
     the radius-r ball is a full delta-regular tree).
     """
-    low, cyc = ball_irregularities(g, v, r, ids, _cycle_cache)
+    low, cyc = ball_irregularities(g, v, r, ids)
     if low is None:
         return cyc[1] if cyc else None
     if cyc is None:

@@ -405,6 +405,19 @@ def test_chain_toward_cycle_avoids_low_degree_node():
     assert g.neighbor_by_port(237, labels[237].port) != 16
 
 
+def test_chain_hop_takes_smallest_port():
+    """The Petersen graph without edges 1-2 and 4-9, plus edge 2-9 and a
+    node 10 of degree 2 on 1 and 4.  Node 0 sees node 10 through both 4
+    (port 0) and 1 (port 1); the pointer takes the smaller port, not the
+    lower-numbered neighbor."""
+    adj = [[4, 1, 5], [0, 6, 10], [3, 7, 9], [2, 4, 8], [3, 0, 10], [0, 7, 8],
+           [1, 8, 9], [2, 5, 9], [3, 5, 6], [7, 6, 2], [1, 4]]
+    g = PortedGraph.from_edges(11, [(u, v, adj[u].index(v), adj[v].index(u))
+                                    for u in range(11) for v in adj[u] if u < v], delta=3)
+    a = Assignment.random(g, 1, seed=1, with_ids=True)
+    assert solve_pointer_labeling_local(g, 2, a)[0] == PointerLabel(d=2, port=0)
+
+
 def test_solver_metrics():
     g = near_regular_graph(100, random.Random(5))
     metrics = {}

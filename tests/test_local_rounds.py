@@ -14,7 +14,7 @@ import pytest
 
 from conftest import random_graph, random_tree
 from lclsim.algorithms import (Pseudoforest, RecolorDetail, _closest_other_color,
-                               _low_degree_map, _tree_labels, build_pseudoforest,
+                               _low_degree_map, _pointer_labels, build_pseudoforest,
                                cole_vishkin_reduce, cole_vishkin_step, mis_to_weak2,
                                solve_pointer_labeling, weak_family_to_weak2,
                                weak_to_weak2c)
@@ -242,7 +242,7 @@ def test_tree_labels_match_loop(seed):
         low = _low_degree_map(g, ids)
         want_low = oracle_low_degree_map(g, ids)
         for r in (0, 1, 2, 5, g.n):
-            assert _tree_labels(g, r, low) == oracle_tree_labels(g, r, want_low)
+            assert _pointer_labels(g, r, low) == oracle_tree_labels(g, r, want_low)
 
 
 def test_tree_labels_share_equal_labels():
@@ -419,7 +419,7 @@ def test_verify_pointer_labeling_matches_per_node(seed):
         # a solver's labeling, all happy
         ids = ids_of(g, seed + i)
         if g.edge_count() == g.n - 1 and g.n > 1:
-            labels = _tree_labels(g, g.n, _low_degree_map(g, ids))
+            labels = _pointer_labels(g, g.n, _low_degree_map(g, ids))
             assert verify_pointer_labeling(g, labels, g.delta) == \
                 oracle_verify_pointer_labeling(g, labels, g.delta)
 

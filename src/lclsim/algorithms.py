@@ -451,7 +451,8 @@ def solve_pointer_labeling(g, assignment, metrics=None):
     effective distance of an irregularity.  Returns (labels, rounds) with
     rounds = that radius.  On cyclic graphs one :class:`CycleIndex` serves
     the radius and the labels.  A ``metrics`` dict receives the radius and
-    the cycle search's work counts."""
+    the cycle search's work counts.  A node with nothing in reach raises
+    :class:`InvalidInputError`."""
     low, cycles = _pointer_setup(g, assignment)
     target, dist, _ = low
     unbounded = 2 * g.n
@@ -462,16 +463,11 @@ def solve_pointer_labeling(g, assignment, metrics=None):
         # beats the closest low-degree node
         cycles.require(dict(zip(full, np.where(target >= 0, dist - 1, unbounded)[full].tolist())))
         near = np.minimum(near, [unbounded if b is None else b[0] for b in cycles.best])
-        lost = np.flatnonzero(near == unbounded)
-        if lost.size:
-            raise InvalidInputError(f"node {lost[0]} sees no irregularity")
-    # on a tree without a low-degree node nothing is in reach: radius 0,
-    # and every node stays unlabeled
-    rounds = int(near[near < unbounded].max(initial=0))
+    lost = np.flatnonzero(near == unbounded)
+    if lost.size:
+        raise InvalidInputError(f"node {lost[0]} sees no irregularity")
+    rounds = int(near.max(initial=0))
     labels = _pointer_labels(g, rounds, low, cycles)
-    missing = [v for v in range(g.n) if v not in labels]
-    if missing:
-        raise InvalidInputError(f"nodes {missing[:5]} still unlabeled at r={rounds}")
     if metrics is not None:
         metrics.update(radius=rounds,
                        cycle_search_passes=cycles.passes if cycles else 0,

@@ -48,6 +48,9 @@ EXIT_CONFIG = 2
 EXIT_BUDGET = 3
 
 CONFIG_VERSION = 1
+# Repair sweeps of random_valid_weak_coloring before its parity fallback;
+# every seeded coloring, so every ``run --seed`` output, depends on it.
+REPAIR_PASSES = 20
 
 
 def provenance(args_dict):
@@ -104,11 +107,11 @@ def cmd_gen(args):
 # ---------------------------------------------------------------------------
 
 
-def random_valid_weak_coloring(g, c, k, seed, repair_passes=20):
+def random_valid_weak_coloring(g, c, k, seed):
     """Seeded random distance-k weak c-coloring.
 
     Starts from a uniform coloring and repairs monochromatic balls; if the
-    repair sweep does not settle, falls back to random colors stratified by
+    repair sweeps do not settle, falls back to random colors stratified by
     BFS-depth parity classes (odd colors vs even colors), which is valid on
     any connected graph with at least two nodes.
     """
@@ -121,7 +124,7 @@ def random_valid_weak_coloring(g, c, k, seed, repair_passes=20):
         raise InvalidParameterError("a weak coloring needs distance --k >= 1")
     rng = random.Random(seed)
     phi = {v: rng.randrange(1, c + 1) for v in range(g.n)}
-    for _ in range(repair_passes):
+    for _ in range(REPAIR_PASSES):
         bad = [v for v, ok in verify_weak_coloring(g, phi, c, k).items() if not ok]
         if not bad:
             return phi

@@ -52,18 +52,14 @@ class Assignment:
                 raise InvalidInputError("identifiers are not injective")
 
     @classmethod
-    def random(cls, g, b, seed, with_ids=False, id_exponent=1):
-        """Uniform bits; ids drawn injectively from {1..n**id_exponent}."""
+    def random(cls, g, b, seed, with_ids=False):
+        """Uniform bits; with ``with_ids``, ids a random permutation of 1..n."""
         rng = random.Random(seed)
         bits = {v: rng.randrange(1 << b) for v in range(g.n)}
         ids = None
         if with_ids:
-            space = g.n ** id_exponent
-            if id_exponent == 1:
-                vals = list(range(1, g.n + 1))
-                rng.shuffle(vals)
-            else:
-                vals = rng.sample(range(1, space + 1), g.n)
+            vals = list(range(1, g.n + 1))
+            rng.shuffle(vals)
             ids = {v: vals[v] for v in range(g.n)}
         return cls(b=b, bits=bits, ids=ids)
 
@@ -84,23 +80,17 @@ class LocalAlgorithm:
     kind: str
     rule: object = None
     table: dict = None
-    palette: object = None
     name: str = ""
 
     def evaluate(self, view):
-        if self.table is not None:
-            try:
-                out = self.table[view.encoding]
-            except KeyError:
-                raise TotalRuleViolation(
-                    f"{self.name or 'table algorithm'} has no entry for a realized view",
-                    view=view) from None
-        else:
-            out = self.rule(view)
-        if self.palette is not None and out not in self.palette:
+        if self.table is None:
+            return self.rule(view)
+        try:
+            return self.table[view.encoding]
+        except KeyError:
             raise TotalRuleViolation(
-                f"output {out!r} outside the declared palette", view=view)
-        return out
+                f"{self.name or 'table algorithm'} has no entry for a realized view",
+                view=view) from None
 
 
 @dataclass

@@ -450,7 +450,7 @@ def _balanced_tree_columns(delta, radius, up_slot):
             ps, up_slot(ps))
 
 
-def gen_regular_tree(delta, radius, meta=None):
+def gen_regular_tree(delta, radius):
     """Balanced delta-regular tree of the given depth with a consistent
     orientation over ``delta/2`` dimensions; ports equal direction slots.
 
@@ -464,7 +464,7 @@ def gen_regular_tree(delta, radius, meta=None):
     parent, child, slot, up = _balanced_tree_columns(delta, radius, lambda s: s ^ 1)
     return PortedGraph._from_columns(
         child.size + 1, parent, child, slot, up, slot // 2 + 1, 1 - 2 * (slot % 2),
-        delta=delta, meta=dict(meta or {}, center=0, oriented=True), validate=False)
+        delta=delta, meta={"center": 0, "oriented": True}, validate=False)
 
 
 def gen_balanced_tree(delta, radius, meta=None):
@@ -478,15 +478,14 @@ def gen_balanced_tree(delta, radius, meta=None):
                                      validate=False)
 
 
-def gen_cycle(n, meta=None):
+def gen_cycle(n):
     """n-cycle with ports 0/1 per node (port 0 toward the successor)."""
     if n < 3:
         raise InvalidParameterError("cycle needs n >= 3")
     _check_size(n)
     v = np.arange(n, dtype=np.int32)
     return PortedGraph._from_columns(n, v, (v + 1) % n, np.zeros(n, np.int8),
-                                     np.ones(n, np.int8), delta=2, meta=meta,
-                                     validate=False)
+                                     np.ones(n, np.int8), delta=2, validate=False)
 
 
 def gen_symlower_pair(delta, r):

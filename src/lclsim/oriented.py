@@ -266,10 +266,6 @@ class NodeTable:
     table: np.ndarray
     name: str = ""
 
-    @property
-    def positions(self):
-        return ball_paths(self.delta, self.t)
-
     @classmethod
     def from_rule(cls, delta, t, b, c, fn, name=""):
         """Tabulate a rule over every key at once.  ``fn(bits)`` sees
@@ -299,9 +295,6 @@ class EdgeTable:
     @property
     def c(self):
         return len(self.labels)
-
-    def positions(self, dim):
-        return edge_positions(self.delta, self.t, dim)
 
     @classmethod
     def from_rule(cls, delta, t, b, labels, fn, name=""):

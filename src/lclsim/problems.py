@@ -303,26 +303,21 @@ def _pointer_targets(g, ports):
     return to
 
 
-def walk_pointer_chain(g, labels, v, limit=None):
+def walk_pointer_chain(g, labels, v):
     """Follow pointers from v until a pointerless node or a revisit.
 
-    Returns ``(terminal, saw_cycle)``.  Used by the chain-walking property
-    check: on an all-happy labeling every chain ends at a node whose degree
-    equals the chain's guess, or closes a cycle.
+    Returns ``(terminal, saw_cycle)``, the terminal of a cycle being the
+    first node met twice (within n + 1 steps).  Used by the chain-walking
+    property check: on an all-happy labeling every chain ends at a node
+    whose degree equals the chain's guess, or closes a cycle.
     """
-    if limit is None:
-        limit = g.n + 1
     seen = set()
-    x = v
-    for _ in range(limit):
-        lab = labels[x]
-        if lab.port is None:
-            return x, False
-        if x in seen:
-            return x, True
-        seen.add(x)
-        x = g.neighbor_by_port(x, lab.port)
-    return x, True
+    while labels[v].port is not None:
+        if v in seen:
+            return v, True
+        seen.add(v)
+        v = g.neighbor_by_port(v, labels[v].port)
+    return v, False
 
 
 # ---------------------------------------------------------------------------

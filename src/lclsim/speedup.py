@@ -416,8 +416,7 @@ def optimizing_f(direction, p_prime, c, delta):
     return p_prime / (delta * c)
 
 
-def verify_speedup_inequality(g, source, derived, cfg, direction,
-                              center=None, f_grid=None):
+def verify_speedup_inequality(g, source, derived, cfg, direction, f_grid=None):
     """Exactly compute source and derived local failure probabilities and
     evaluate the direction's inequality at the configured f, at the
     analysis-optimal f, and across a grid of thresholds (the construction
@@ -428,9 +427,7 @@ def verify_speedup_inequality(g, source, derived, cfg, direction,
     computations.  For direction 1 the goodness bound
     Pr[not good] <= delta*c*f is checked at every grid point.
     """
-    if center is None:
-        center = g.meta.get("center", 0)
-    require_interior(g, center, cfg.t + 1)
+    require_interior(g, g.meta.get("center", 0), cfg.t + 1)
     if g.delta != cfg.delta:
         raise InvalidParameterError("graph degree does not match the config")
     if direction not in (1, 2):

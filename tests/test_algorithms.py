@@ -292,6 +292,16 @@ def test_solve_pointer_requires_ids():
         solve_pointer_labeling(g, Assignment.random(g, 1, seed=0))
 
 
+@pytest.mark.parametrize("n,edges", [(1, []), (2, [(0, 1, 0, 0)])], ids=["K1", "K2"])
+def test_solve_pointer_tree_without_low_degree_node(n, edges):
+    """Every node has full degree n - 1 and the tree has no cycle, so no
+    node sees an irregularity: the same check and message as on a cyclic
+    graph."""
+    g = PortedGraph.from_edges(n, edges, delta=n - 1)
+    with pytest.raises(InvalidInputError, match="^node 0 sees no irregularity$"):
+        solve_pointer_labeling(g, Assignment.random(g, 1, seed=0, with_ids=True))
+
+
 def test_pointer_terminal_degrees_on_pair():
     for delta in (3, 4):
         t, tp, center = gen_symlower_pair(delta, 3)

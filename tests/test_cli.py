@@ -217,6 +217,15 @@ def test_malformed_coloring_file_exits_config(tmp_path, capsys, coloring, messag
     assert message in err and str(col) in err
 
 
+def test_solve_pointers_without_irregularity_exits_config(tmp_path, capsys):
+    k2 = tmp_path / "k2.json"
+    k2.write_text(json.dumps({"format": "ported-graph", "version": 1, "n": 2, "delta": 1,
+                              "edges": [[0, 1, 0, 0, 0, 0]], "meta": {}}))
+    assert run_cli(["run", "--algorithm", "solve-pointers", "--graph", str(k2),
+                    "--out", str(tmp_path / "o.json")]) == 2
+    assert "node 0 sees no irregularity" in capsys.readouterr().err
+
+
 def test_solve_pointers_reports_metrics(tmp_path):
     ring = tmp_path / "c.json"
     run_cli(["gen", "cycle", "--n", "9", "--out", str(ring)])

@@ -347,6 +347,25 @@ def test_cole_vishkin_colors_at_the_int64_ends():
             outcome(oracle_cole_vishkin_reduce, parent, colors, 2**65)
 
 
+def test_pipeline_stages_ignore_key_order():
+    """A colors dict keyed out of node order goes through the re-indexing
+    in the stages' parent arrays and gives the same labels."""
+    g = random_tree(60, 4, seed=11)
+    rng = random.Random(11)
+    colors = {}
+    for v in range(g.n):
+        taken = {colors.get(u) for u in g.adjacent(v)}
+        colors[v] = next(x for x in iter(lambda: rng.randrange(1, 65), None)
+                         if x not in taken)
+    pf = build_pseudoforest(g, colors)
+    psi = cole_vishkin_reduce(pf, colors, 64)
+    assert psi == cole_vishkin_reduce(pf, dict(reversed(colors.items())), 64)
+    assert psi == oracle_cole_vishkin_reduce(pf.parent, colors, 64)
+    labels = mis_to_weak2(pf, psi[0])
+    assert labels == mis_to_weak2(pf, dict(reversed(psi[0].items())))
+    assert labels == oracle_mis_to_weak2(pf.parent, pf.children, psi[0])
+
+
 def test_stage_rejections_match():
     g = random_tree(40, 4, seed=3)
     mono = {v: 1 for v in range(g.n)}

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import pruned_oriented_tree, random_graph, random_tree
 from lclsim.errors import InvalidInstanceError, InvalidLabelingError
-from lclsim.graph import PortedGraph, edge_key, gen_regular_tree
+from lclsim.graph import PortedGraph, edge_key, gen_cycle, gen_regular_tree
 from lclsim.problems import (HomogeneousLabel, PointerLabel, pointer_happy,
                              verifier_report, verify_homogeneous,
                              verify_pointer_labeling, verify_weak_coloring,
@@ -127,6 +127,13 @@ def test_pointer_chain_walk_property():
             term, cyc = walk_pointer_chain(g, labels, v)
             if not cyc:
                 assert g.degree(term) == labels[v].d
+
+
+def test_pointer_chain_walk_closes_a_cycle():
+    g = gen_cycle(5)
+    labels = {v: PointerLabel(d=2, port=0) for v in range(g.n)}
+    assert walk_pointer_chain(g, labels, 0) == (0, True)
+    assert walk_pointer_chain(g, labels, 3) == (3, True)
 
 
 def test_homogeneous_disjunction():

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (BudgetExceededError, InvalidInputError,
                      InvalidInstanceError, TotalRuleViolation)
-from .graph import bfs_distances, edge_key
+from .graph import ball_is_leaf_free, bfs_distances, edge_key
 from .views import extract_view
 
 ENUM_BUDGET_BITS = 24
@@ -231,10 +231,8 @@ def enumerate_assignments(region, b, budget_bits=ENUM_BUDGET_BITS):
 def require_interior(g, v, radius):
     """Reject nodes whose ball of the given radius contains a leaf; failure
     probabilities are defined on regular trees only."""
-    for u in bfs_distances(g, v, radius):
-        if g.degree(u) <= 1:
-            raise InvalidInstanceError(
-                f"radius-{radius} ball of node {v} contains a leaf")
+    if not ball_is_leaf_free(g, v, radius):
+        raise InvalidInstanceError(f"radius-{radius} ball of node {v} contains a leaf")
 
 
 class _CompiledBall:

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInstanceError, InvalidParameterError
+from .oriented import ball_paths, walk_direction_path
 
 MAX_GENERATED_NODES = 10**7
 MAX_DELTA = 16
@@ -400,15 +401,6 @@ def ball_is_leaf_free(g, v, radius):
 def _check_size(n):
     if n > MAX_GENERATED_NODES:
         raise InvalidParameterError(f"generator bounded to {MAX_GENERATED_NODES} nodes")
-
-
-def direction_index(dim, sign):
-    """Direction slot of ``(dim, sign)``: (1,+)=0, (1,-)=1, (2,+)=2, ..."""
-    return 2 * (dim - 1) + (0 if sign > 0 else 1)
-
-
-def direction_of_index(idx):
-    return (idx // 2 + 1, +1 if idx % 2 == 0 else -1)
 
 
 def _balanced_size(delta, radius):
@@ -786,123 +778,100 @@ def plant_irregularities(base, spec):
     depth-D node; ``("cycle", D)`` or ``("cycle", D, length)`` splices a
     cycle of full-degree nodes whose effective distance from the center is
     D, padding ring nodes with fresh subtrees down to the base leaf depth.
-    Unrealizable requests raise instead of truncating.
+    Each entry works at the first node of the target depth (by id) with a
+    child left and cuts its last children (in port order).  Unrealizable
+    requests raise instead of truncating, among them a later cut that
+    removes an earlier cycle's anchor.
+
+    The result numbers the center 0, the kept base nodes next (by id) and
+    the fresh nodes last (in creation order); its edges are the sorted
+    ``(u, v)`` pairs, ``u < v``, and a node's port is its rank among its
+    pairs.
     """
     center = base.meta.get("center", 0)
     if not spec:
         return PortedGraph._from_columns(base.n, *base.edge_columns(),
                                          delta=base.delta, meta=base.meta)
 
-    dist = bfs_distances(base, center)
-    depth = max(dist.values())
-    removed = set()
-    ring_edges = []
-    new_adj = {}
-    next_new = [base.n]
-
-    def remove_subtree(root, parent):
-        stack = [(root, parent)]
-        while stack:
-            x, p = stack.pop()
-            removed.add(x)
-            for w in base.adjacent(x):
-                if w != p and w not in removed:
-                    stack.append((w, x))
-
-    def pick_node_at(d_target):
-        for u in sorted(dist, key=lambda x: (dist[x], x)):
-            if dist[u] == d_target and u not in removed:
-                kids = [w for w in base.adjacent(u)
-                        if dist[w] == dist[u] + 1 and w not in removed]
-                if kids:
-                    return u, kids
-        raise InvalidParameterError(
-            f"no node at distance {d_target} with a removable child")
-
-    def fresh_node():
-        v = next_new[0]
-        next_new[0] += 1
-        new_adj[v] = []
-        return v
-
-    def ring_degree(p):
-        return sum(1 for a, b in ring_edges if a == p or b == p)
-
-    def grow_subtree(root, levels):
-        frontier = [root]
-        for _ in range(levels):
-            nxt = []
-            for p in frontier:
-                want = base.delta - len(new_adj.get(p, ())) - ring_degree(p)
-                for _ in range(want):
-                    c = fresh_node()
-                    new_adj[p].append(c)
-                    new_adj[c].append(p)
-                    nxt.append(c)
-            frontier = nxt
-
-    for entry in spec:
+    depth_of = bfs_distances(base, center)
+    dist = np.zeros(base.n, np.int64)
+    dist[list(depth_of)] = list(depth_of.values())
+    depth = int(dist.max())
+    cut = np.full(base.n, -1)         # index of the entry that removed a node
+    anchors = []                      # (anchor node, entry index) per cycle
+    new_u, new_v = [], []             # fresh edges, as node-id arrays
+    fresh = base.n                    # next fresh node id
+    for i, entry in enumerate(spec):
         kind = entry[0]
         if kind == "low-degree":
-            d_target = entry[1]
-            if d_target < 0 or d_target >= depth:
-                raise InvalidParameterError(
-                    f"low-degree distance {d_target} not realizable")
-            u, kids = pick_node_at(d_target)
-            remove_subtree(kids[-1], u)
+            at, cuts = entry[1], 1
+            if at < 0 or at >= depth:
+                raise InvalidParameterError(f"low-degree distance {at} not realizable")
         elif kind == "cycle":
-            d_target = entry[1]
             length = entry[2] if len(entry) > 2 else 4
             if length < 3:
                 raise InvalidParameterError("cycle length must be >= 3")
-            anchor_dist = d_target - cycle_detour(length)
-            if anchor_dist < 0:
+            at, cuts = entry[1] - cycle_detour(length), 2
+            if at < 0:
                 raise InvalidParameterError(
-                    f"length-{length} cycle cannot sit at effective distance {d_target}")
-            u, kids = pick_node_at(anchor_dist)
-            if len(kids) < 2:
-                raise InvalidParameterError(
-                    f"anchor at distance {anchor_dist} lacks two spare children")
-            remove_subtree(kids[-1], u)
-            remove_subtree(kids[-2], u)
-            ring = [u]
-            for _ in range(length - 1):
-                ring.append(fresh_node())
-            for a, b in zip(ring, ring[1:] + ring[:1]):
-                ring_edges.append((a, b))
-            for idx in range(1, length):
-                x = ring[idx]
-                ring_dist = anchor_dist + min(idx, length - idx)
-                levels = depth - ring_dist
-                if levels < 0:
-                    raise InvalidParameterError("cycle does not fit inside the tree")
-                grow_subtree(x, levels)
+                    f"length-{length} cycle cannot sit at effective distance {entry[1]}")
         else:
             raise InvalidParameterError(f"unknown irregularity kind {kind!r}")
+        for u in np.flatnonzero((dist == at) & (cut < 0)).tolist():
+            kids = [w for w in base.adjacent(u) if dist[w] == at + 1 and cut[w] < 0]
+            if kids:
+                break
+        else:
+            raise InvalidParameterError(f"no node at distance {at} with a removable child")
+        if len(kids) < cuts:
+            raise InvalidParameterError(f"anchor at distance {at} lacks two spare children")
+        stack = kids[-cuts:]
+        while stack:
+            x = stack.pop()
+            cut[x] = i
+            stack += [w for w in base.adjacent(x) if dist[w] > dist[x] and cut[w] < 0]
+        if kind == "low-degree":
+            continue
+        if at + length // 2 > depth:
+            raise InvalidParameterError("cycle does not fit inside the tree")
+        ring = np.array([u, *range(fresh, fresh + length - 1)])
+        fresh += length - 1
+        anchors.append((u, i))
+        new_u.append(ring)
+        new_v.append(np.roll(ring, -1))
+        # pad each fresh ring node down to the base leaf depth: delta - 2
+        # children under it, delta - 1 under every node below
+        for j, x in enumerate(ring[1:].tolist(), 1):
+            parents, fan = np.array([x]), base.delta - 2
+            for _ in range(depth - at - min(j, length - j)):
+                level = np.arange(fresh, fresh + parents.size * fan)
+                new_u.append(np.repeat(parents, fan))
+                new_v.append(level)
+                fresh += level.size
+                parents, fan = level, base.delta - 1
 
-    keep = [v for v in range(base.n) if v not in removed]
-    order = [center] + [v for v in keep if v != center] + sorted(new_adj)
-    remap = {v: i for i, v in enumerate(order)}
-    pair_set = set()
-    for v in keep:
-        for u in base.adjacent(v):
-            if u not in removed:
-                pair_set.add(edge_key(remap[v], remap[u]))
-    for v, ws in new_adj.items():
-        for w in ws:
-            pair_set.add(edge_key(remap[v], remap[w]))
-    for a, b in ring_edges:
-        pair_set.add(edge_key(remap[a], remap[b]))
-    edges = []
-    port_fill = [0] * len(order)
-    for a, b in sorted(pair_set):
-        edges.append((a, b, port_fill[a], port_fill[b]))
-        port_fill[a] += 1
-        port_fill[b] += 1
-    if any(p > base.delta for p in port_fill):
+    for u, i in anchors:
+        if cut[u] >= 0:
+            raise InvalidParameterError(
+                f"{spec[cut[u]]!r} cuts the anchor of the cycle {spec[i]!r}")
+    kept = np.flatnonzero(cut < 0)
+    order = np.concatenate([[center], kept[kept != center], np.arange(base.n, fresh)])
+    new_id = np.empty(fresh, np.int64)
+    new_id[order] = np.arange(order.size)
+    u, v, *_ = base.edge_columns()
+    keep = (cut[u] < 0) & (cut[v] < 0)
+    pairs = np.sort(np.stack([new_id[np.concatenate([u[keep], *new_u])],
+                              new_id[np.concatenate([v[keep], *new_v])]], axis=1), axis=1)
+    pairs = pairs[np.argsort(pairs[:, 0] * order.size + pairs[:, 1])]
+    ends = pairs.ravel()
+    by_node = np.argsort(ends, kind="stable")
+    ranked = ends[by_node]
+    port = np.empty_like(ends)
+    port[by_node] = np.arange(ends.size) - np.searchsorted(ranked, ranked)
+    if port.max(initial=0) >= base.delta:
         raise InvalidParameterError("spec exceeds the degree bound")
-    return PortedGraph.from_edges(len(order), edges, delta=base.delta,
-                                  meta={"center": 0})
+    return PortedGraph._from_columns(order.size, *pairs.T, *port.reshape(-1, 2).T,
+                                     delta=base.delta, meta={"center": 0})
 
 
 # ---------------------------------------------------------------------------
@@ -913,10 +882,11 @@ def plant_irregularities(base, spec):
 def independent_execution_set(g, v, t, k):
     """Nodes with pairwise distance >= 2t+1 whose t-balls lie in B_k(v).
 
-    Seeds are the nodes at distance exactly 7 from v; each extension step
-    walks 2t+1 edges straight along every non-returning direction, for
-    ``max(0, floor((k-7)/(2t+1)) - 1)`` steps.  Returns the extension set
-    (seeds excluded: sibling seeds sit at distance 2).
+    Seeds are the ends of the length-7 direction paths from v; each
+    extension step walks 2t+1 edges straight along every direction but the
+    reverse of the last step, for ``max(0, floor((k-7)/(2t+1)) - 1)``
+    steps.  Returns the extension set (seeds excluded: sibling seeds sit at
+    distance 2).
     """
     if k <= 7:
         raise InvalidParameterError("k must exceed the seed distance 7")
@@ -926,46 +896,18 @@ def independent_execution_set(g, v, t, k):
         raise InvalidInstanceError("independent execution set needs an oriented tree")
     if not ball_is_leaf_free(g, v, k):
         raise InvalidInstanceError(f"radius-{k} ball of {v} contains a leaf")
-
-    # BFS to distance 7, recording each node's direction back toward v
-    parent_dir = {v: None}
-    dist = {v: 0}
-    q = deque([v])
-    while q:
-        x = q.popleft()
-        if dist[x] >= 7:
-            continue
-        for u, mp, up, d, s in g.half_edges(x):
-            if u not in dist:
-                dist[u] = dist[x] + 1
-                parent_dir[u] = direction_index(d, -s)  # as seen at u
-                q.append(u)
-    seeds = [u for u, d in dist.items() if d == 7]
-
-    steps = max(0, (k - 7) // (2 * t + 1) - 1)
     stride = 2 * t + 1
-
-    def walk(start, dir_idx):
-        x = start
-        dim, sign = direction_of_index(dir_idx)
-        for _ in range(stride):
-            x = g.neighbor_by_direction(x, dim, sign)
-            if x is None:
-                raise InvalidInstanceError("straight walk left the tree")
-        return x
-
+    seeds = [(walk_direction_path(g, v, p), p[-1])
+             for p in ball_paths(g.delta, 7) if len(p) == 7]
+    # a node short of a direction has no seeds beyond it
+    frontier = [(x, last) for x, last in seeds if x is not None]
     result = set()
-    frontier = [(u, parent_dir[u]) for u in seeds]
-    for _ in range(steps):
-        nxt = []
-        for u, banned in frontier:
-            for d in range(g.delta):
-                if d == banned:
-                    continue
-                w = walk(u, d)
-                nxt.append((w, d ^ 1))
-                result.add(w)
-        frontier = nxt
+    for _ in range(max(0, (k - 7) // stride - 1)):
+        frontier = [(walk_direction_path(g, x, (d,) * stride), d)
+                    for x, last in frontier for d in range(g.delta) if d != last ^ 1]
+        if any(x is None for x, _ in frontier):
+            raise InvalidInstanceError("straight walk left the tree")
+        result.update(x for x, _ in frontier)
     return result
 
 

@@ -99,3 +99,19 @@ def test_id_collision_examples():
     assert abs(float(big.value) / (0.5 * (10**9) ** (-1 / 3)) - 1) < 1e-2
     with pytest.raises(InvalidParameterError):
         id_collision_bound(7)
+
+
+@pytest.mark.parametrize("delta", [8, 10])
+def test_zero_round_optimum_large_delta(delta):
+    for c in range(2, 17):
+        z = zero_round_optimum(c, delta)
+        closed = float(z.closed_form)
+        assert abs(z.numeric_minimum - closed) <= 1e-12 * closed
+        assert max(abs(x - 1 / c) for x in z.numeric_argmin) <= 1e-4
+        assert 1 <= z.iterations <= 30
+
+
+def test_zero_round_optimum_rejects_delta_below_one():
+    for delta in (0, -1):
+        with pytest.raises(InvalidParameterError):
+            zero_round_optimum(2, delta)

@@ -6,15 +6,13 @@ the accompanying analytic bound calculators."""
 __version__ = "0.1.0"
 
 from .engine import (Assignment, DirectedPair, FailureEstimate,
-                     LocalAlgorithm, enumerate_assignments,
-                     local_failure_probability, run_edge_algorithm,
-                     run_node_algorithm, weak_coloring_failure,
-                     weak_edge_coloring_failure)
-from .graph import (Irregularity, PortedGraph, closest_irregularity,
-                    gen_balanced_tree, gen_cycle, gen_regular_tree,
-                    gen_symlower_pair, independent_execution_set,
-                    plant_irregularities)
-from .problems import (HomogeneousLabel, LclSpec, PointerLabel,
+                     LocalAlgorithm, local_failure_probability,
+                     run_edge_algorithm, run_node_algorithm,
+                     weak_coloring_failure, weak_edge_coloring_failure)
+from .graph import (PortedGraph, gen_balanced_tree, gen_cycle,
+                    gen_regular_tree, gen_symlower_pair,
+                    independent_execution_set, plant_irregularities)
+from .problems import (HomogeneousLabel, PointerLabel,
                        verify_homogeneous, verify_pointer_labeling,
                        verify_weak_coloring, verify_weak_edge_coloring)
 from .algorithms import (build_pseudoforest, cole_vishkin_reduce,

@@ -5,8 +5,8 @@ Everything is expressed over immutable graphs and returns plain label
 dicts; the stated round counts are the LOCAL-model accounting of each
 stage (a stage needing information from distance d costs d rounds).  A
 round runs for all nodes at once, as whole-array passes over
-``g.csr()``; the per-node :func:`_closest_other_color` remains as the
-rule one node applies inside its own view.  One pointer-labelling pass
+``g.csr()``; the per-node rules they compute are kept in
+``tests/oracles.py`` as the differential oracles.  One pointer-labelling pass
 (:func:`_pointer_labels`) serves trees and cyclic graphs alike; on a
 cyclic graph only the nodes that prefer a cycle are set one by one.
 """
@@ -46,8 +46,9 @@ def weak_to_weak2c(g, phi, k, c, validate=True):
     parity of that distance to its own color.  Returns the new coloring
     (colors in [2c]), the round count, and per-node detail for the parity
     argument check.  All nodes search at once: k sweeps over ``g.csr()``
-    (:func:`_recolor_sweeps`) give what :func:`_closest_other_color` finds
-    node by node.
+    (:func:`_recolor_sweeps`) give each node the breadth-first search in
+    port-path order whose first level holding another color decides, the
+    smallest (color, port path) of that level winning.
     """
     if validate:
         results = verify_weak_coloring(g, phi, c, k)
@@ -124,32 +125,6 @@ def _recolor_sweeps(g, colors, k):
             f"node {missing[0]} sees no other color within distance {k}")
     return (found & ((np.int64(1) << _PORT_SHIFT) - 1), found >> _DIST_SHIFT,
             ((found & port_field) >> _PORT_SHIFT) - 1)
-
-
-def _closest_other_color(g, v, phi, k):
-    """BFS in lexicographic port-path order; first level containing another
-    color decides, winner has the smallest (color, path)."""
-    mine = phi[v]
-    seen = {v}
-    # frontier entries: (path, node); level order is lexicographic order
-    frontier = [((), v)]
-    for _ in range(k):
-        nxt = []
-        hits = []
-        for path, x in frontier:
-            for u, mp, _up in g.neighbors(x):
-                if u in seen:
-                    continue
-                seen.add(u)
-                nxt.append((path + (mp,), u))
-                if phi[u] != mine:
-                    hits.append((phi[u], path + (mp,), u))
-        if hits:
-            col, path, u = min(hits)
-            return u, len(path), path[0]
-        frontier = nxt
-    raise InvalidInputError(
-        f"node {v} sees no other color within distance {k}")
 
 
 @dataclass
@@ -473,29 +448,6 @@ def solve_pointer_labeling(g, assignment, metrics=None):
                        cycle_search_passes=cycles.passes if cycles else 0,
                        cycles_enumerated=len(cycles.keys) if cycles else 0)
     return labels, rounds
-
-
-def pointer_terminal_degrees(g, start):
-    """Degrees of the irregular nodes a pointer chain from ``start`` can
-    terminate at: the non-full-degree nodes reachable through full-degree
-    interiors.  On a tree this is exactly the set of feasible degree
-    guesses at ``start``."""
-    if g.degree(start) < g.delta:
-        return {g.degree(start)}
-    seen = {start}
-    out = set()
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for u in g.adjacent(v):
-            if u in seen:
-                continue
-            seen.add(u)
-            if g.degree(u) < g.delta:
-                out.add(g.degree(u))
-            else:
-                stack.append(u)
-    return out
 
 
 # ---------------------------------------------------------------------------

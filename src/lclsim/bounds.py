@@ -21,8 +21,6 @@ PRECISION_BITS = 256
 # Cap on the Newton steps of zero_round_optimum; delta <= 16 with c <= 64
 # stops after at most 30.
 ZERO_ROUND_ITERATIONS = 3000
-# Even, so the grid oracle's optimum D(1) = 1/2 is a grid point.
-ZERO_ROUND_GRID_STEPS = 10**4
 
 
 def log_star(x):
@@ -33,19 +31,6 @@ def log_star(x):
         x = mpmath.log(x, 2)
         count += 1
     return count
-
-
-def claim_ball_radius(n, delta=4):
-    """Radius k at which a leaf-free ball of a delta-regular tree contains
-    exactly n^(1/3) nodes: log_{delta-1}((n^(1/3)-1)(delta-2)/delta + 1).
-    For delta = 4 this is log3((n^(1/3)+1)/2)."""
-    if delta < 3:
-        raise InvalidParameterError("delta must be >= 3")
-    if n < 8:
-        raise InvalidParameterError("n too small")
-    with mpmath.workprec(PRECISION_BITS):
-        x = (mpmath.mpf(n) ** (mpmath.mpf(1) / 3) - 1) * (delta - 2) / delta + 1
-        return float(mpmath.log(x, delta - 1))
 
 
 def iterated_log2(x, times):
@@ -112,19 +97,6 @@ def zero_round_optimum(c, delta):
         numeric_minimum=float((x ** (delta + 1)).sum()),
         numeric_argmin=tuple(float(t) for t in x),
         iterations=steps)
-
-
-def zero_round_optimum_grid(c, delta):
-    """Independent 1-d confirmation for c = 2: grid search over D(1)."""
-    if c != 2:
-        raise InvalidParameterError("grid oracle is for two colors")
-    best = None
-    for i in range(ZERO_ROUND_GRID_STEPS + 1):
-        p = i / ZERO_ROUND_GRID_STEPS
-        val = p ** (delta + 1) + (1 - p) ** (delta + 1)
-        if best is None or val < best[0]:
-            best = (val, p)
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,8 @@ from .engine import Assignment, LocalAlgorithm
 from .errors import (BudgetExceededError, DomainError, InvalidInputError,
                      InvalidInstanceError, InvalidLabelingError,
                      InvalidParameterError, PSolverViolation)
-from .graph import PortedGraph, dumps_canonical, gen_cycle, gen_regular_tree, \
-    gen_symlower_pair
+from .graph import (PortedGraph, bfs_levels, dumps_canonical, gen_cycle,
+                    gen_regular_tree, gen_symlower_pair)
 from .problems import (verify_homogeneous, verify_pointer_labeling,
                        verify_weak_coloring, verifier_report)
 from .speedup import (SpeedupConfig, constant_edge_algorithm,
@@ -133,8 +133,7 @@ def random_valid_weak_coloring(g, c, k, seed):
                 continue
             u = g.adjacent(v)[0]
             phi[u] = phi[v] % c + 1
-    from .graph import bfs_distances
-    depth = bfs_distances(g, 0)
+    depth = bfs_levels(g, 0, None).tolist()
     odd = [col for col in range(1, c + 1) if col % 2 == 1]
     even = [col for col in range(1, c + 1) if col % 2 == 0]
     for block in (rng.randrange(1, k + 1), 1):

@@ -212,22 +212,6 @@ def weak_edge_coloring_failure(g, v, labels):
 # ---------------------------------------------------------------------------
 
 
-def _check_budget(total_bits, budget_bits):
-    if total_bits > budget_bits:
-        raise BudgetExceededError(
-            f"{total_bits} bits exceed the exact-enumeration budget of {budget_bits}")
-
-
-def enumerate_assignments(region, b, budget_bits=ENUM_BUDGET_BITS):
-    """Yield every bit map on ``region`` exactly once, counter order."""
-    nodes = sorted(region)
-    total_bits = b * len(nodes)
-    _check_budget(total_bits, budget_bits)
-    mask = (1 << b) - 1
-    for counter in range(1 << total_bits):
-        yield {u: (counter >> (i * b)) & mask for i, u in enumerate(nodes)}
-
-
 def require_interior(g, v, radius):
     """Reject nodes whose ball of the given radius contains a leaf; failure
     probabilities are defined on regular trees only."""
@@ -323,8 +307,8 @@ class _CompiledBall:
 
 
 def _counter_blocks(m, b, dtype):
-    """Every assignment of m nodes, ``enumerate_assignments``' order, as
-    ``(rows, m)`` blocks of bits."""
+    """Every assignment of m nodes in counter order, node i taking the
+    counter's bits ``b*i`` to ``b*i + b - 1``, as ``(rows, m)`` blocks."""
     total = 1 << (b * m)
     mask = (1 << b) - 1
     for lo in range(0, total, BLOCK_ROWS):
@@ -376,18 +360,17 @@ def _sample_blocks(seed, samples, m, b, dtype):
 def local_failure_probability(g, alg, v, fail_predicate, mode="exact",
                               b=DEFAULT_BITS_PER_NODE, ids=None,
                               samples=MC_DEFAULT_SAMPLES,
-                              confidence=MC_DEFAULT_CONFIDENCE, seed=0,
-                              budget_bits=ENUM_BUDGET_BITS, inputs=None):
+                              confidence=MC_DEFAULT_CONFIDENCE, seed=0, inputs=None):
     """Probability, over the random bits of ``B_{t+1}(v)``, that the node
     failure event holds at v.
 
     Exact mode enumerates all ``2**(b*m)`` assignments of the ball (m = its
     node count) and returns the precise frequency as a Fraction; it raises
-    ``BudgetExceededError`` when ``b*m`` exceeds the budget, in which case
-    the caller must switch modes.  Monte Carlo returns an unbiased estimate
-    with the two-sided Hoeffding radius at the stated confidence; each
-    sample draws ``random.Random(seed).randrange(2**b)`` for the ball's
-    nodes in sorted order.  Assignments are counted in numpy blocks, and
+    ``BudgetExceededError`` when ``b*m`` exceeds ``ENUM_BUDGET_BITS``, in
+    which case the caller must switch modes.  Monte Carlo returns an
+    unbiased estimate with the two-sided Hoeffding radius at the stated
+    confidence; each sample draws ``random.Random(seed).randrange(2**b)``
+    for the ball's nodes in sorted order.  Assignments are counted in numpy blocks, and
     each view is evaluated once per distinct bit pattern of its support.
     """
     require_interior(g, v, alg.rounds + 1)
@@ -395,7 +378,9 @@ def local_failure_probability(g, alg, v, fail_predicate, mode="exact",
     m = len(ball.region)
     dtype = np.uint8 if b <= 8 else np.int64
     if mode == "exact":
-        _check_budget(b * m, budget_bits)
+        if b * m > ENUM_BUDGET_BITS:
+            raise BudgetExceededError(
+                f"{b * m} bits exceed the exact-enumeration budget of {ENUM_BUDGET_BITS}")
         hits = sum(ball.hits(block) for block in _counter_blocks(m, b, dtype))
         return FailureEstimate(value=Fraction(hits, 1 << (b * m)), mode="exact")
     if mode != "monte-carlo":

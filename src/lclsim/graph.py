@@ -252,7 +252,7 @@ class PortedGraph:
                        "edge missing or port mismatch at node {}", src)
             _reject_if((dim[back] != dim) | ((dim != 0) & (sign[back] != -sign)),
                        "orientation mismatch at node {}", src)
-        if self.n > 0 and not _reaches_all(indptr, nbr, self.n):
+        if self.n > 0 and (bfs_levels(self, 0, None) < 0).any():
             raise InvalidInstanceError("graph is not connected")
         return True
 
@@ -347,20 +347,6 @@ def frontier_slots(indptr, nodes):
     return np.repeat(lo - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
 
 
-def _reaches_all(indptr, nbr, n):
-    """Level-synchronous frontier BFS from node 0 over CSR arrays."""
-    seen = np.zeros(n, bool)
-    seen[0] = True
-    frontier = np.zeros(1, np.int64)
-    while frontier.size:
-        nb = nbr[frontier_slots(indptr, frontier)]
-        # sorted, then deduplicated (np.unique would pull in numpy.ma)
-        nb = np.sort(nb[~seen[nb]])
-        frontier = nb[np.diff(nb, prepend=-1) != 0]
-        seen[frontier] = True
-    return bool(seen.all())
-
-
 # ---------------------------------------------------------------------------
 # BFS helpers
 # ---------------------------------------------------------------------------
@@ -382,15 +368,31 @@ def bfs_distances(g, src, radius=None):
     return dist
 
 
-def distance(g, u, v):
-    d = bfs_distances(g, u)
-    if v not in d:
-        raise InvalidParameterError(f"{v} unreachable from {u}")
-    return d[v]
+def bfs_levels(g, source, radius):
+    """Every node's distance from ``source`` as an int32 array, -1 where the
+    node is unreached or farther than ``radius`` (None: the whole graph).
+
+    A level-synchronous frontier BFS over ``g.csr()``: each level gathers
+    the frontier's neighbors, keeps the unreached ones, and deduplicates
+    them by a sort and a diff (``np.unique`` would pull in ``numpy.ma``).
+    """
+    indptr, nbr = g.csr()[:2]
+    dist = np.full(g.n, -1, np.int32)
+    dist[source] = 0
+    frontier = np.array([source], np.int64)
+    level = 0
+    while frontier.size and (radius is None or level < radius):
+        level += 1
+        nb = nbr[frontier_slots(indptr, frontier)]
+        nb = np.sort(nb[dist[nb] < 0])
+        frontier = nb[np.diff(nb, prepend=-1) != 0]
+        dist[frontier] = level
+    return dist
 
 
 def ball_is_leaf_free(g, v, radius):
-    return all(g.degree(u) > 1 for u in bfs_distances(g, v, radius))
+    deg = np.diff(g.csr()[0])
+    return bool((deg[bfs_levels(g, v, radius) >= 0] > 1).all())
 
 
 # ---------------------------------------------------------------------------
@@ -506,19 +508,6 @@ def gen_symlower_pair(delta, r):
         np.concatenate([pv[keep], np.zeros(moved.size, np.int8)]),
         delta=delta, meta={"center": 0})
     return t_graph, t_prime, 0
-
-
-def induced_subgraph(g, nodes):
-    """Induced subgraph on ``nodes`` with compact ids; ports and orientation
-    labels carry over.  Returns ``(subgraph, old-to-new id map)``."""
-    order = sorted(nodes)
-    new_id = np.full(g.n, -1, np.int64)
-    new_id[order] = np.arange(len(order))
-    u, v, *labels = g.edge_columns()
-    keep = (new_id[u] >= 0) & (new_id[v] >= 0)
-    sub = PortedGraph._from_columns(len(order), new_id[u[keep]], new_id[v[keep]],
-                                    *(col[keep] for col in labels), delta=g.delta)
-    return sub, {v: i for i, v in enumerate(order)}
 
 
 # ---------------------------------------------------------------------------
@@ -744,26 +733,6 @@ def ball_irregularities(g, v, r, ids=None):
     return low, (key, Irregularity("cycle", cyc, key[0]))
 
 
-def closest_irregularity(g, v, r, ids=None):
-    """Irregularity of minimum effective distance <= r seen from v.
-
-    Preference at equal effective distance: cycles before low-degree nodes;
-    cycle ties by smallest maximum identifier, then lexicographically
-    smallest id sequence; low-degree ties by smallest degree, then smallest
-    identifier.  Returns None when nothing qualifies (in particular whenever
-    the radius-r ball is a full delta-regular tree).
-    """
-    low, cyc = ball_irregularities(g, v, r, ids)
-    if low is None:
-        return cyc[1] if cyc else None
-    if cyc is None:
-        return low[1]
-    # distance first; a cycle wins an exact tie
-    if cyc[1].effective_distance <= low[1].effective_distance:
-        return cyc[1]
-    return low[1]
-
-
 # ---------------------------------------------------------------------------
 # Irregularity planting
 # ---------------------------------------------------------------------------
@@ -793,9 +762,7 @@ def plant_irregularities(base, spec):
         return PortedGraph._from_columns(base.n, *base.edge_columns(),
                                          delta=base.delta, meta=base.meta)
 
-    depth_of = bfs_distances(base, center)
-    dist = np.zeros(base.n, np.int64)
-    dist[list(depth_of)] = list(depth_of.values())
+    dist = bfs_levels(base, center, None)
     depth = int(dist.max())
     cut = np.full(base.n, -1)         # index of the entry that removed a node
     anchors = []                      # (anchor node, entry index) per cycle

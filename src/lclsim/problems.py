@@ -12,31 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInstanceError, InvalidLabelingError, InvalidParameterError
-from .graph import bfs_distances, edge_key, reduce_slots, slot_owners
-
-
-@dataclass(frozen=True)
-class LclSpec:
-    """A locally checkable labeling problem: finite output alphabet, check
-    radius, and a per-node predicate over radius-r labeled views.  Inputs
-    are fixed to the trivial alphabet here."""
-
-    name: str
-    output_alphabet: tuple
-    radius: int
-    verifier: object          # callable (g, v, labels) -> bool
-
-    def verify(self, g, labels):
-        return {v: bool(self.verifier(g, v, labels)) for v in range(g.n)}
-
-
-def weak_coloring_spec(c, k):
-    """Distance-k weak c-coloring as an LclSpec."""
-    def check(g, v, labels):
-        return _sees_other_color(g, v, labels, k)
-    return LclSpec(name=f"weak-{c}-coloring(distance {k})",
-                   output_alphabet=tuple(range(1, c + 1)),
-                   radius=k, verifier=check)
+from .graph import edge_key, reduce_slots, slot_owners
 
 
 @dataclass(frozen=True)
@@ -132,15 +108,6 @@ def _sees_other_color(g, v, phi, k):
     return False
 
 
-def verify_weak_coloring_oracle(g, phi, c, k):
-    """Independent brute force: all-pairs BFS distances, no early exit."""
-    results = {}
-    for v in range(g.n):
-        dist = bfs_distances(g, v)
-        results[v] = any(d <= k and phi[u] != phi[v] for u, d in dist.items())
-    return results
-
-
 # ---------------------------------------------------------------------------
 # Weak edge coloring
 # ---------------------------------------------------------------------------
@@ -175,60 +142,9 @@ def verify_weak_edge_coloring(g, psi, c, delta):
     return results
 
 
-def verify_weak_edge_coloring_oracle(g, psi, c, delta):
-    """Independent restatement: enumerate the dimension pairs from scratch."""
-    results = {}
-    for v in range(g.n):
-        edges_at = {}
-        for u in g.adjacent(v):
-            dim, sign = g.orientation_at(v, u)
-            edges_at[(dim, sign)] = psi[edge_key(v, u)]
-        ok = None
-        for d in range(1, delta // 2 + 1):
-            if (d, 1) in edges_at and (d, -1) in edges_at:
-                ok = bool(ok) or edges_at[(d, 1)] != edges_at[(d, -1)]
-        results[v] = True if ok is None else ok
-    return results
-
-
 # ---------------------------------------------------------------------------
 # Pointer problem
 # ---------------------------------------------------------------------------
-
-
-def pointer_happy(g, v, labels, delta):
-    """The five local conditions on pointer labels at node v.
-
-    1. full-degree nodes point somewhere;
-    2. low-degree nodes point nowhere and guess their own degree;
-    3. the degree guess is constant along pointers;
-    4. pointers never backtrack;
-    5. a pointer into a pointerless node requires that node's degree to
-       match the guess.
-    A pointer into an unlabeled node violates conditions 3-5.
-    """
-    lab = labels.get(v)
-    if lab is None:
-        return False
-    deg = g.degree(v)
-    if deg == delta:
-        if lab.port is None:
-            return False
-    else:
-        if lab.port is not None or lab.d != deg:
-            return False
-    if lab.port is not None:
-        u = g.neighbor_by_port(v, lab.port)
-        lab_u = labels.get(u)
-        if lab_u is None:
-            return False
-        if lab_u.d != lab.d:
-            return False
-        if lab_u.port is not None and g.neighbor_by_port(u, lab_u.port) == v:
-            return False
-        if lab_u.port is None and g.degree(u) != lab.d:
-            return False
-    return True
 
 
 def verify_pointer_labeling(g, labels, delta):
@@ -241,14 +157,23 @@ def verify_pointer_labeling(g, labels, delta):
 
 
 def _pointer_verdicts(g, labels, delta, judged=None):
-    """:func:`pointer_happy` at every node where ``judged`` holds (all nodes
-    if None), as whole-array gathers over ``g.csr()``.
+    """The five pointer conditions at every node where ``judged`` holds
+    (all nodes if None), as whole-array gathers over ``g.csr()``:
+
+    1. full-degree nodes point somewhere;
+    2. low-degree nodes point nowhere and guess their own degree;
+    3. the degree guess is constant along pointers;
+    4. pointers never backtrack;
+    5. a pointer into a pointerless node requires that node's degree to
+       match the guess.
+    An unlabeled node fails, and so does a pointer into one.
 
     Returns the verdict array and, if some judged node would look up a
     port its node lacks, ``(judged node, node, port)`` for the first such
-    judged node (else None); :func:`pointer_happy` raises there.  Degree
-    guesses are compared as Python values: each distinct guess gets one
-    code, and the degrees ``0..delta`` get their own value as code.
+    judged node (else None); the per-node rule (``tests/oracles.py``)
+    raises there.  Degree guesses are compared as Python values: each
+    distinct guess gets one code, and the degrees ``0..delta`` get their
+    own value as code.
     """
     n = g.n
     deg = np.diff(g.csr()[0])
@@ -301,23 +226,6 @@ def _pointer_targets(g, ports):
     inside = np.flatnonzero(port >= 0)
     to[inside] = by_port[inside * width + port[inside]]
     return to
-
-
-def walk_pointer_chain(g, labels, v):
-    """Follow pointers from v until a pointerless node or a revisit.
-
-    Returns ``(terminal, saw_cycle)``, the terminal of a cycle being the
-    first node met twice (within n + 1 steps).  Used by the chain-walking
-    property check: on an all-happy labeling every chain ends at a node
-    whose degree equals the chain's guess, or closes a cycle.
-    """
-    seen = set()
-    while labels[v].port is not None:
-        if v in seen:
-            return v, True
-        seen.add(v)
-        v = g.neighbor_by_port(v, labels[v].port)
-    return v, False
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,285 @@
+"""Per-node reference versions of what the program computes whole-array,
+and the helpers only tests call.
+
+Each definition is the one ``lclsim`` used to carry, body unchanged: the
+per-node rules the whole-array LOCAL rounds replaced (``pointer_happy``,
+``_closest_other_color``, the weak-coloring oracles), the dict BFS behind the
+leaf-free check, and small graph, bound and enumeration helpers.  Tests
+import them as they import ``conftest``.
+"""
+
+from dataclasses import dataclass
+
+import mpmath
+import numpy as np
+
+from lclsim.bounds import PRECISION_BITS
+from lclsim.engine import ENUM_BUDGET_BITS
+from lclsim.errors import (BudgetExceededError, InvalidInputError,
+                           InvalidParameterError)
+from lclsim.graph import PortedGraph, ball_irregularities, bfs_distances, edge_key
+from lclsim.problems import _sees_other_color
+
+# ---------------------------------------------------------------------------
+# algorithms
+# ---------------------------------------------------------------------------
+
+
+def _closest_other_color(g, v, phi, k):
+    """BFS in lexicographic port-path order; first level containing another
+    color decides, winner has the smallest (color, path)."""
+    mine = phi[v]
+    seen = {v}
+    # frontier entries: (path, node); level order is lexicographic order
+    frontier = [((), v)]
+    for _ in range(k):
+        nxt = []
+        hits = []
+        for path, x in frontier:
+            for u, mp, _up in g.neighbors(x):
+                if u in seen:
+                    continue
+                seen.add(u)
+                nxt.append((path + (mp,), u))
+                if phi[u] != mine:
+                    hits.append((phi[u], path + (mp,), u))
+        if hits:
+            col, path, u = min(hits)
+            return u, len(path), path[0]
+        frontier = nxt
+    raise InvalidInputError(
+        f"node {v} sees no other color within distance {k}")
+
+
+def pointer_terminal_degrees(g, start):
+    """Degrees of the irregular nodes a pointer chain from ``start`` can
+    terminate at: the non-full-degree nodes reachable through full-degree
+    interiors.  On a tree this is exactly the set of feasible degree
+    guesses at ``start``."""
+    if g.degree(start) < g.delta:
+        return {g.degree(start)}
+    seen = {start}
+    out = set()
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        for u in g.adjacent(v):
+            if u in seen:
+                continue
+            seen.add(u)
+            if g.degree(u) < g.delta:
+                out.add(g.degree(u))
+            else:
+                stack.append(u)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# problems
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LclSpec:
+    """A locally checkable labeling problem: finite output alphabet, check
+    radius, and a per-node predicate over radius-r labeled views.  Inputs
+    are fixed to the trivial alphabet here."""
+
+    name: str
+    output_alphabet: tuple
+    radius: int
+    verifier: object          # callable (g, v, labels) -> bool
+
+    def verify(self, g, labels):
+        return {v: bool(self.verifier(g, v, labels)) for v in range(g.n)}
+
+
+def weak_coloring_spec(c, k):
+    """Distance-k weak c-coloring as an LclSpec."""
+    def check(g, v, labels):
+        return _sees_other_color(g, v, labels, k)
+    return LclSpec(name=f"weak-{c}-coloring(distance {k})",
+                   output_alphabet=tuple(range(1, c + 1)),
+                   radius=k, verifier=check)
+
+
+def verify_weak_coloring_oracle(g, phi, c, k):
+    """Independent brute force: all-pairs BFS distances, no early exit."""
+    results = {}
+    for v in range(g.n):
+        dist = bfs_distances(g, v)
+        results[v] = any(d <= k and phi[u] != phi[v] for u, d in dist.items())
+    return results
+
+
+def verify_weak_edge_coloring_oracle(g, psi, c, delta):
+    """Independent restatement: enumerate the dimension pairs from scratch."""
+    results = {}
+    for v in range(g.n):
+        edges_at = {}
+        for u in g.adjacent(v):
+            dim, sign = g.orientation_at(v, u)
+            edges_at[(dim, sign)] = psi[edge_key(v, u)]
+        ok = None
+        for d in range(1, delta // 2 + 1):
+            if (d, 1) in edges_at and (d, -1) in edges_at:
+                ok = bool(ok) or edges_at[(d, 1)] != edges_at[(d, -1)]
+        results[v] = True if ok is None else ok
+    return results
+
+
+def pointer_happy(g, v, labels, delta):
+    """The five local conditions on pointer labels at node v.
+
+    1. full-degree nodes point somewhere;
+    2. low-degree nodes point nowhere and guess their own degree;
+    3. the degree guess is constant along pointers;
+    4. pointers never backtrack;
+    5. a pointer into a pointerless node requires that node's degree to
+       match the guess.
+    A pointer into an unlabeled node violates conditions 3-5.
+    """
+    lab = labels.get(v)
+    if lab is None:
+        return False
+    deg = g.degree(v)
+    if deg == delta:
+        if lab.port is None:
+            return False
+    else:
+        if lab.port is not None or lab.d != deg:
+            return False
+    if lab.port is not None:
+        u = g.neighbor_by_port(v, lab.port)
+        lab_u = labels.get(u)
+        if lab_u is None:
+            return False
+        if lab_u.d != lab.d:
+            return False
+        if lab_u.port is not None and g.neighbor_by_port(u, lab_u.port) == v:
+            return False
+        if lab_u.port is None and g.degree(u) != lab.d:
+            return False
+    return True
+
+
+def walk_pointer_chain(g, labels, v):
+    """Follow pointers from v until a pointerless node or a revisit.
+
+    Returns ``(terminal, saw_cycle)``, the terminal of a cycle being the
+    first node met twice (within n + 1 steps).  Used by the chain-walking
+    property check: on an all-happy labeling every chain ends at a node
+    whose degree equals the chain's guess, or closes a cycle.
+    """
+    seen = set()
+    while labels[v].port is not None:
+        if v in seen:
+            return v, True
+        seen.add(v)
+        v = g.neighbor_by_port(v, labels[v].port)
+    return v, False
+
+
+# ---------------------------------------------------------------------------
+# graph
+# ---------------------------------------------------------------------------
+
+
+def ball_is_leaf_free_dict(g, v, radius):
+    """The leaf-free check over the dict BFS of ``bfs_distances``."""
+    return all(g.degree(u) > 1 for u in bfs_distances(g, v, radius))
+
+
+def distance(g, u, v):
+    d = bfs_distances(g, u)
+    if v not in d:
+        raise InvalidParameterError(f"{v} unreachable from {u}")
+    return d[v]
+
+
+def induced_subgraph(g, nodes):
+    """Induced subgraph on ``nodes`` with compact ids; ports and orientation
+    labels carry over.  Returns ``(subgraph, old-to-new id map)``."""
+    order = sorted(nodes)
+    new_id = np.full(g.n, -1, np.int64)
+    new_id[order] = np.arange(len(order))
+    u, v, *labels = g.edge_columns()
+    keep = (new_id[u] >= 0) & (new_id[v] >= 0)
+    sub = PortedGraph._from_columns(len(order), new_id[u[keep]], new_id[v[keep]],
+                                    *(col[keep] for col in labels), delta=g.delta)
+    return sub, {v: i for i, v in enumerate(order)}
+
+
+def closest_irregularity(g, v, r, ids=None):
+    """Irregularity of minimum effective distance <= r seen from v.
+
+    Preference at equal effective distance: cycles before low-degree nodes;
+    cycle ties by smallest maximum identifier, then lexicographically
+    smallest id sequence; low-degree ties by smallest degree, then smallest
+    identifier.  Returns None when nothing qualifies (in particular whenever
+    the radius-r ball is a full delta-regular tree).
+    """
+    low, cyc = ball_irregularities(g, v, r, ids)
+    if low is None:
+        return cyc[1] if cyc else None
+    if cyc is None:
+        return low[1]
+    # distance first; a cycle wins an exact tie
+    if cyc[1].effective_distance <= low[1].effective_distance:
+        return cyc[1]
+    return low[1]
+
+
+# ---------------------------------------------------------------------------
+# bounds
+# ---------------------------------------------------------------------------
+
+# Even, so the grid oracle's optimum D(1) = 1/2 is a grid point.
+ZERO_ROUND_GRID_STEPS = 10**4
+
+
+def claim_ball_radius(n, delta=4):
+    """Radius k at which a leaf-free ball of a delta-regular tree contains
+    exactly n^(1/3) nodes: log_{delta-1}((n^(1/3)-1)(delta-2)/delta + 1).
+    For delta = 4 this is log3((n^(1/3)+1)/2)."""
+    if delta < 3:
+        raise InvalidParameterError("delta must be >= 3")
+    if n < 8:
+        raise InvalidParameterError("n too small")
+    with mpmath.workprec(PRECISION_BITS):
+        x = (mpmath.mpf(n) ** (mpmath.mpf(1) / 3) - 1) * (delta - 2) / delta + 1
+        return float(mpmath.log(x, delta - 1))
+
+
+def zero_round_optimum_grid(c, delta):
+    """Independent 1-d confirmation for c = 2: grid search over D(1)."""
+    if c != 2:
+        raise InvalidParameterError("grid oracle is for two colors")
+    best = None
+    for i in range(ZERO_ROUND_GRID_STEPS + 1):
+        p = i / ZERO_ROUND_GRID_STEPS
+        val = p ** (delta + 1) + (1 - p) ** (delta + 1)
+        if best is None or val < best[0]:
+            best = (val, p)
+    return best
+
+
+# ---------------------------------------------------------------------------
+# engine
+# ---------------------------------------------------------------------------
+
+
+def _check_budget(total_bits, budget_bits):
+    if total_bits > budget_bits:
+        raise BudgetExceededError(
+            f"{total_bits} bits exceed the exact-enumeration budget of {budget_bits}")
+
+
+def enumerate_assignments(region, b, budget_bits=ENUM_BUDGET_BITS):
+    """Yield every bit map on ``region`` exactly once, counter order."""
+    nodes = sorted(region)
+    total_bits = b * len(nodes)
+    _check_budget(total_bits, budget_bits)
+    mask = (1 << b) - 1
+    for counter in range(1 << total_bits):
+        yield {u: (counter >> (i * b)) & mask for i, u in enumerate(nodes)}

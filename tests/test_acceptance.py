@@ -7,24 +7,21 @@ import time
 from fractions import Fraction
 
 from conftest import pruned_oriented_tree, random_graph, random_tree
-from lclsim.algorithms import (pointer_terminal_degrees,
-                               solve_pointer_labeling,
+from lclsim.algorithms import (solve_pointer_labeling,
                                solve_pointer_labeling_local,
                                weak_family_to_weak2)
 from lclsim.bounds import (global_success_upper_bound, id_collision_bound,
                            log_star, recurrence_bound, zero_round_optimum)
 from lclsim.cli import random_valid_weak_coloring
 from lclsim.engine import Assignment
-from lclsim.graph import (bfs_distances, closest_irregularity, edge_key,
+from lclsim.graph import (bfs_distances, edge_key,
                           gen_balanced_tree, gen_cycle, gen_regular_tree,
                           gen_symlower_pair, independent_execution_set,
                           independent_set_size_formula, plant_irregularities)
 from lclsim.problems import (HomogeneousLabel, PointerLabel,
                              verify_homogeneous, verify_pointer_labeling,
                              verify_weak_coloring,
-                             verify_weak_coloring_oracle,
-                             verify_weak_edge_coloring,
-                             verify_weak_edge_coloring_oracle)
+                             verify_weak_edge_coloring)
 from lclsim.speedup import (SpeedupConfig, ball_parity_node_algorithm,
                             center_mod_node_algorithm,
                             constant_edge_algorithm, constant_node_algorithm,
@@ -33,6 +30,8 @@ from lclsim.speedup import (SpeedupConfig, ball_parity_node_algorithm,
                             random_node_algorithm, verify_speedup_inequality,
                             xor_edge_algorithm)
 from lclsim.views import extract_view
+from oracles import (closest_irregularity, pointer_terminal_degrees,
+                     verify_weak_coloring_oracle, verify_weak_edge_coloring_oracle)
 
 
 def report(num, desc, ok, extra=""):
@@ -409,7 +408,7 @@ def test_criterion_10_independent_execution_set():
                 ok &= not any(y in dist for y in nodes[i + 1:])
             # the size clause of the claim applies only when k matches
             # log3((n^(1/3)+1)/2); at desk scale it never does
-            from lclsim.bounds import claim_ball_radius
+            from oracles import claim_ball_radius
             k_claim = claim_ball_radius(g.n, 4)
             if abs(k_claim - k) < 0.5:
                 ok &= len(s) >= g.n ** (1 / (3 * (2 * t + 1)))

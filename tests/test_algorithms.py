@@ -6,17 +6,17 @@ from conftest import random_tree
 from lclsim.algorithms import (build_pseudoforest,
                                cole_vishkin_reduce, cole_vishkin_step,
                                homogeneous_dispatch, mis_to_weak2,
-                               pointer_terminal_degrees,
                                solve_pointer_labeling,
                                solve_pointer_labeling_local,
                                weak_family_to_weak2, weak_to_weak2c)
 from lclsim.cli import random_valid_weak_coloring
 from lclsim.engine import Assignment, LocalAlgorithm
 from lclsim.errors import InvalidInputError, PSolverViolation
-from lclsim.graph import (PortedGraph, bfs_distances, closest_irregularity,
+from lclsim.graph import (PortedGraph, bfs_distances,
                           gen_balanced_tree, gen_cycle, gen_regular_tree,
                           gen_symlower_pair, plant_irregularities)
 from lclsim.problems import verify_pointer_labeling, verify_weak_coloring
+from oracles import closest_irregularity, pointer_terminal_degrees
 
 
 def path_graph(n):
@@ -179,9 +179,8 @@ def test_pipeline_packaged_as_local_algorithm():
     through the engine, reproduces the global pipeline node for node: each
     stage is recomputed inside the view on a horizon that shrinks by the
     stage's round cost."""
-    from lclsim.algorithms import _closest_other_color
     from lclsim.engine import run_node_algorithm
-    from lclsim.graph import induced_subgraph
+    from oracles import _closest_other_color, induced_subgraph
 
     k, c = 1, 2
     g = gen_balanced_tree(3, 5)

@@ -5,9 +5,9 @@ import pytest
 
 from lclsim.bounds import (global_success_upper_bound,
                            id_collision_bound, iterated_log2, log_star,
-                           recurrence_bound, zero_round_optimum,
-                           zero_round_optimum_grid)
+                           recurrence_bound, zero_round_optimum)
 from lclsim.errors import DomainError, InvalidParameterError
+from oracles import zero_round_optimum_grid
 
 
 def test_log_star():
@@ -77,7 +77,7 @@ def test_global_bound_domain_errors():
 
 
 def test_claim_ball_radius():
-    from lclsim.bounds import claim_ball_radius
+    from oracles import claim_ball_radius
     # delta=4 closes the ball at n^(1/3) = 2*3^k - 1 nodes
     n = (2 * 3**5 - 1) ** 3
     assert abs(claim_ball_radius(n, 4) - 5) < 1e-9

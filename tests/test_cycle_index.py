@@ -21,9 +21,10 @@ from lclsim.algorithms import solve_pointer_labeling, solve_pointer_labeling_loc
 from lclsim.engine import Assignment
 from lclsim.errors import InvalidInputError
 from lclsim.graph import (CycleIndex, Irregularity, PortedGraph, _simple_cycles,
-                          bfs_distances, canonical_cycle, closest_irregularity, cycle_detour,
+                          bfs_distances, canonical_cycle, cycle_detour,
                           gen_balanced_tree, gen_cycle, plant_irregularities)
 from lclsim.problems import PointerLabel, verify_pointer_labeling
+from oracles import closest_irregularity
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,15 @@ import pytest
 
 from conftest import random_tree
 from lclsim.engine import (Assignment, DirectedPair, FailureEstimate,
-                           LocalAlgorithm, enumerate_assignments,
-                           hoeffding_radius, local_failure_probability,
-                           run_edge_algorithm, run_node_algorithm,
-                           weak_coloring_failure, weak_edge_coloring_failure)
+                           LocalAlgorithm, hoeffding_radius,
+                           local_failure_probability, run_edge_algorithm,
+                           run_node_algorithm, weak_coloring_failure,
+                           weak_edge_coloring_failure)
 from lclsim.errors import (BudgetExceededError, InvalidInputError,
                            InvalidInstanceError, TotalRuleViolation)
 from lclsim.graph import gen_cycle, gen_regular_tree
 from lclsim.views import extract_view
+from oracles import enumerate_assignments
 
 
 def own_bit_rule(view):

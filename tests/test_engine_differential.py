@@ -9,16 +9,16 @@ import pytest
 from lclsim.engine import (DEFAULT_BITS_PER_NODE, ENUM_BUDGET_BITS,
                            MC_DEFAULT_CONFIDENCE, MC_DEFAULT_SAMPLES,
                            Assignment, DirectedPair, FailureEstimate,
-                           LocalAlgorithm, enumerate_assignments,
-                           hoeffding_radius, local_failure_probability,
-                           require_interior, weak_coloring_failure,
-                           weak_edge_coloring_failure)
+                           LocalAlgorithm, hoeffding_radius,
+                           local_failure_probability, require_interior,
+                           weak_coloring_failure, weak_edge_coloring_failure)
 from lclsim.errors import InvalidInputError, TotalRuleViolation
 from lclsim.graph import (bfs_distances, edge_key, gen_balanced_tree,
                           gen_regular_tree)
 from lclsim.speedup import (as_local_algorithm, random_edge_algorithm,
                             random_node_algorithm)
 from lclsim.views import extract_view
+from oracles import enumerate_assignments
 
 
 def _labels_for_predicate(g, alg, v, assignment, inputs):

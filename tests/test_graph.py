@@ -4,12 +4,12 @@ import pytest
 
 from conftest import brute_canonical_cycle, random_graph, random_tree, relabeled
 from lclsim.errors import InvalidInstanceError, InvalidParameterError
-from lclsim.graph import (PortedGraph, bfs_distances,
-                          closest_irregularity, cycle_detour, distance,
+from lclsim.graph import (PortedGraph, bfs_distances, cycle_detour,
                           gen_balanced_tree, gen_cycle, gen_regular_tree,
                           gen_symlower_pair, independent_execution_set,
                           plant_irregularities)
 from lclsim.views import extract_view
+from oracles import closest_irregularity, distance
 
 
 def test_regular_tree_counts():

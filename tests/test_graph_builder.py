@@ -16,8 +16,9 @@ from conftest import pruned_oriented_tree, random_graph, random_tree, relabeled
 from lclsim.errors import InvalidInstanceError, InvalidParameterError
 from lclsim.graph import (MAX_DELTA, PortedGraph, _balanced_size, bfs_distances,
                           dumps_canonical, gen_balanced_tree, gen_cycle,
-                          gen_regular_tree, gen_symlower_pair, induced_subgraph,
+                          gen_regular_tree, gen_symlower_pair,
                           plant_irregularities)
+from oracles import induced_subgraph
 
 # ---------------------------------------------------------------------------
 # oracle: the per-edge construction

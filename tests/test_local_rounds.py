@@ -13,7 +13,7 @@ import random
 import pytest
 
 from conftest import random_graph, random_tree
-from lclsim.algorithms import (Pseudoforest, RecolorDetail, _closest_other_color,
+from lclsim.algorithms import (Pseudoforest, RecolorDetail,
                                _low_degree_map, _pointer_labels, build_pseudoforest,
                                cole_vishkin_reduce, cole_vishkin_step, mis_to_weak2,
                                solve_pointer_labeling, weak_family_to_weak2,
@@ -23,8 +23,9 @@ from lclsim.engine import Assignment
 from lclsim.errors import InvalidInputError, InvalidLabelingError
 from lclsim.graph import PortedGraph, gen_balanced_tree, gen_cycle, gen_regular_tree
 from lclsim.problems import (HomogeneousLabel, PointerLabel, _sees_other_color,
-                             pointer_happy, verify_homogeneous, verify_pointer_labeling,
+                             verify_homogeneous, verify_pointer_labeling,
                              verify_weak_coloring)
+from oracles import _closest_other_color, pointer_happy
 
 # ---------------------------------------------------------------------------
 # oracles: the per-node versions

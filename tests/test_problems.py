@@ -5,13 +5,12 @@ import pytest
 from conftest import pruned_oriented_tree, random_graph, random_tree
 from lclsim.errors import InvalidInstanceError, InvalidLabelingError
 from lclsim.graph import PortedGraph, edge_key, gen_cycle, gen_regular_tree
-from lclsim.problems import (HomogeneousLabel, PointerLabel, pointer_happy,
+from lclsim.problems import (HomogeneousLabel, PointerLabel,
                              verifier_report, verify_homogeneous,
                              verify_pointer_labeling, verify_weak_coloring,
-                             verify_weak_coloring_oracle,
-                             verify_weak_edge_coloring,
-                             verify_weak_edge_coloring_oracle,
-                             walk_pointer_chain)
+                             verify_weak_edge_coloring)
+from oracles import (pointer_happy, verify_weak_coloring_oracle,
+                     verify_weak_edge_coloring_oracle, walk_pointer_chain)
 
 
 def path_graph(n):
@@ -198,7 +197,7 @@ def test_verifier_report_shape():
 
 
 def test_lcl_spec_wrapper():
-    from lclsim.problems import weak_coloring_spec
+    from oracles import weak_coloring_spec
     g = path_graph(3)
     spec = weak_coloring_spec(2, 1)
     assert spec.radius == 1 and spec.output_alphabet == (1, 2)

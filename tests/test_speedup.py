@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lclsim.engine import (Assignment, DirectedPair, enumerate_assignments,
+from lclsim.engine import (Assignment, DirectedPair,
                            local_failure_probability, weak_coloring_failure,
                            weak_edge_coloring_failure)
 from lclsim.errors import BudgetExceededError, InvalidParameterError
@@ -22,6 +22,7 @@ from lclsim.speedup import (SpeedupConfig, as_local_algorithm,
                             random_node_algorithm, verify_speedup_inequality,
                             xor_edge_algorithm)
 from lclsim.views import extract_view
+from oracles import enumerate_assignments
 
 
 def test_coordinates():

@@ -7,6 +7,8 @@ JSON outputs carry a provenance block with the tool version, the seed and
 a hash of the resolved configuration; ``run --algorithm solve-pointers``
 and ``speedup`` add a ``metrics`` block of work counts (the pointer
 solver's search; the thresholds evaluated and the exact kernels' sizes).
+``--out -`` writes the JSON document to stdout and the summary line to
+stderr, so stdout parses as JSON.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 exact-enumeration budget exceeded.
@@ -15,10 +17,12 @@ Exit codes: 0 success, 1 verification failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import random
 import sys
+from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -63,13 +67,50 @@ def provenance(args_dict):
     }
 
 
-def write_json(path, obj):
-    text = dumps_canonical(obj)
+class NodeMap:
+    """A ``{node: label}`` map that ``write_json`` writes as the JSON object
+    ``{str(node): label}``, straight from the algorithm's dict."""
+
+    def __init__(self, labels):
+        self.labels = labels
+
+    def dumps(self):
+        # each distinct label is encoded once; '"' sorts below every digit, so
+        # sorted '"node":label' entries are in the key order sort_keys=True gives
+        text = functools.lru_cache(maxsize=None, typed=True)(
+            lambda label: _dumps(asdict(label) if is_dataclass(label) else label))
+        return "{" + ",".join(sorted([f'"{v}":{text(label)}'
+                                      for v, label in self.labels.items()])) + "}"
+
+
+def _holds_node_map(obj):
+    return isinstance(obj, dict) and any(
+        isinstance(v, NodeMap) or _holds_node_map(v) for v in obj.values())
+
+
+def _dumps(obj):
+    """``dumps_canonical(obj)`` without its newline; NodeMaps render themselves."""
+    if isinstance(obj, NodeMap):
+        return obj.dumps()
+    if not _holds_node_map(obj):
+        return dumps_canonical(obj)[:-1]
+    return "{" + ",".join(f"{json.dumps(k)}:{_dumps(obj[k])}" for k in sorted(obj)) + "}"
+
+
+def _summary_stream(path):
+    return sys.stderr if path == "-" else sys.stdout  # stdout holds only the JSON
+
+
+def _write(path, text):
     if path in (None, "-"):
         sys.stdout.write(text)
     else:
         with open(path, "w") as fh:
             fh.write(text)
+
+
+def write_json(path, obj):
+    _write(path, _dumps(obj) + "\n")
 
 
 def parse_fraction(text):
@@ -85,20 +126,21 @@ def parse_fraction(text):
 
 
 def cmd_gen(args):
-    if args.family == "regular-tree":
-        g = gen_regular_tree(args.delta, args.radius)
-        g.save(args.out)
-        print(f"wrote {args.out}: n={g.n} delta={g.delta} oriented=yes")
-    elif args.family == "cycle":
-        g = gen_cycle(args.n)
-        g.save(args.out)
-        print(f"wrote {args.out}: n={g.n} delta={g.delta} oriented=no")
-    elif args.family == "symlower":
+    if args.family == "symlower":
         t_graph, t_prime, center = gen_symlower_pair(args.delta, args.r)
         t_graph.save(args.out_prefix + "_t.json")
         t_prime.save(args.out_prefix + "_tprime.json")
         print(f"wrote {args.out_prefix}_t.json and {args.out_prefix}_tprime.json: "
               f"n={t_graph.n} center={center}")
+        return EXIT_OK
+    g = (gen_regular_tree(args.delta, args.radius) if args.family == "regular-tree"
+         else gen_cycle(args.n))
+    if args.out == "-":
+        write_json("-", g.to_json_obj())
+    else:
+        g.save(args.out)
+    print(f"wrote {args.out}: n={g.n} delta={g.delta} "
+          f"oriented={'yes' if g.meta.get('oriented') else 'no'}", file=_summary_stream(args.out))
     return EXIT_OK
 
 
@@ -179,17 +221,16 @@ def cmd_run(args):
         if args.algorithm == "weak-to-weak2c":
             phi2, rounds, _ = weak_to_weak2c(g, phi, args.k, args.c)
             results = verify_weak_coloring(g, phi2, 2 * args.c, 1)
-            payload = {"labels": {str(v): phi2[v] for v in phi2},
-                       "rounds": rounds}
+            payload = {"labels": NodeMap(phi2), "rounds": rounds}
             problem = f"weak-{2 * args.c}-coloring(distance 1)"
         else:
             res = weak_family_to_weak2(g, phi, args.k, args.c)
             results = verify_weak_coloring(g, res.labels, 2, 1)
-            payload = {"labels": {str(v): res.labels[v] for v in res.labels},
+            payload = {"labels": NodeMap(res.labels),
                        "rounds": res.rounds, "stage_rounds": res.stage_rounds}
             if args.dump_stages:
                 payload["stages"] = {
-                    name: {str(v): x for v, x in stage.items()}
+                    name: NodeMap(stage)
                     for name, stage in (
                         ("input", phi), ("recolored", res.recolored),
                         ("pseudoforest_ports", res.pseudoforest_ports),
@@ -201,19 +242,17 @@ def cmd_run(args):
         metrics = {}
         labels, rounds = solve_pointer_labeling(g, a, metrics=metrics)
         results = verify_pointer_labeling(g, labels, g.delta)
-        payload = {"labels": {str(v): {"d": lab.d, "port": lab.port}
-                              for v, lab in labels.items()},
+        payload = {"labels": NodeMap(labels),
                    "rounds": rounds, "metrics": metrics}
         problem = "pointer-labeling"
     elif args.algorithm == "solve-pointers-local":
         a = Assignment.random(g, b=1, seed=args.seed, with_ids=True)
         labels = solve_pointer_labeling_local(g, args.r, a)
         results = {v: True for v in labels}  # coverage reported, not judged
-        payload = {"labels": {str(v): {"d": lab.d, "port": lab.port}
-                              for v, lab in labels.items()},
+        payload = {"labels": NodeMap(labels),
                    "labeled": len(labels), "radius": args.r}
         problem = "pointer-labeling(local)"
-    elif args.algorithm == "homogeneous-constant":
+    else:  # homogeneous-constant
         a = Assignment.random(g, b=1, seed=args.seed, with_ids=True)
         solver = LocalAlgorithm(rounds=0, kind="node", rule=lambda view: 1,
                                 name="constant-inner")
@@ -221,15 +260,8 @@ def cmd_run(args):
             g, solver, lambda gg, v, inner: inner.get(v) == 1, args.r, a)
         results = verify_homogeneous(
             g, labels, lambda gg, v, inner: inner.get(v) == 1, g.delta)
-        payload = {"labels": {
-            str(v): {"inner": lab.inner,
-                     "pointer": None if lab.pointer is None
-                     else {"d": lab.pointer.d, "port": lab.pointer.port}}
-            for v, lab in labels.items()}}
+        payload = {"labels": NodeMap(labels)}
         problem = "homogeneous(constant inner)"
-    else:
-        print(f"unknown algorithm {args.algorithm!r}", file=sys.stderr)
-        return EXIT_CONFIG
 
     report = verifier_report(problem, results)
     out = {"provenance": prov, "report": report, **payload}
@@ -239,7 +271,7 @@ def cmd_run(args):
               file=sys.stderr)
         return EXIT_VERIFICATION
     print(f"{problem}: all {report['pass_count']} nodes pass "
-          f"(rounds={payload.get('rounds', 'n/a')})")
+          f"(rounds={payload.get('rounds', 'n/a')})", file=_summary_stream(args.out))
     return EXIT_OK
 
 
@@ -284,7 +316,8 @@ def cmd_speedup(args):
     print(f"direction {args.direction} [{alg.name}]: p={float(report.p):.6g} "
           f"p'={float(report.p_prime):.6g} inequality "
           f"{'holds' if report.inequality_holds else 'VIOLATED'}"
-          f"{'' if report.goodness_holds else '; goodness bound VIOLATED'}")
+          f"{'' if report.goodness_holds else '; goodness bound VIOLATED'}",
+          file=_summary_stream(args.out))
     ok = report.inequality_holds and report.goodness_holds
     return EXIT_OK if ok else EXIT_VERIFICATION
 
@@ -298,12 +331,7 @@ def _emit_table(rows, header, args):
     if args.format == "csv":
         lines = [",".join(header)]
         lines += [",".join(str(r[h]) for h in header) for r in rows]
-        text = "\n".join(lines) + "\n"
-        if args.out in (None, "-"):
-            sys.stdout.write(text)
-        else:
-            with open(args.out, "w") as fh:
-                fh.write(text)
+        _write(args.out, "\n".join(lines) + "\n")
     else:
         write_json(args.out, {"provenance": provenance(vars(args)), "rows": rows})
     return EXIT_OK
@@ -340,15 +368,12 @@ def cmd_bounds(args):
                          "gap": abs(zr.numeric_minimum - float(zr.closed_form))})
         return _emit_table(rows, ["c", "delta", "closed_form",
                                   "numeric_minimum", "gap"], args)
-    if args.calculator == "id-collision":
-        rows = []
-        for n in args.n:
-            ib = id_collision_bound(n)
-            rows.append({"n": n, "value": float(ib.value),
-                         "bound": float(ib.bound), "holds": ib.holds})
-        return _emit_table(rows, ["n", "value", "bound", "holds"], args)
-    print(f"unknown calculator {args.calculator!r}", file=sys.stderr)
-    return EXIT_CONFIG
+    rows = []  # id-collision
+    for n in args.n:
+        ib = id_collision_bound(n)
+        rows.append({"n": n, "value": float(ib.value),
+                     "bound": float(ib.bound), "holds": ib.holds})
+    return _emit_table(rows, ["n", "value", "bound", "holds"], args)
 
 
 def _log2_fraction(fr):
@@ -465,21 +490,11 @@ def main(argv=None):
             return EXIT_CONFIG if exc.code else EXIT_OK
         if args.config is not None:  # a spelling _apply_config did not take
             raise InvalidParameterError("give the config file as: --config PATH")
-        if args.command is None:
+        if args.command is None or args.command == "gen" and args.family is None:
             parser.print_help()
             return EXIT_CONFIG
-        if args.command == "gen":
-            if getattr(args, "family", None) is None:
-                parser.print_help()
-                return EXIT_CONFIG
-            return cmd_gen(args)
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "speedup":
-            return cmd_speedup(args)
-        if args.command == "bounds":
-            return cmd_bounds(args)
-        return EXIT_CONFIG
+        return {"gen": cmd_gen, "run": cmd_run, "speedup": cmd_speedup,
+                "bounds": cmd_bounds}[args.command](args)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -10,11 +10,15 @@ indistinguishable through the ports (and orientation, when present).
 
 On trees a non-backtracking walk never revisits a node, so the unfolding has
 at most one walk node per graph node.
+
+The encoding is built when a view is extracted; its ball (``View.nodes``),
+which only payload access and ball-walking rules read, is found on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InvalidParameterError
 from .graph import bfs_distances, edge_key
@@ -49,7 +53,8 @@ class View:
 
     ``encoding`` is a nested hashable structure; encoding equality is the
     indistinguishability test.  The original graph and center are kept so
-    procedural rules can walk the ball, restricted to ``nodes``.
+    procedural rules can walk the ball, restricted to ``nodes`` (found on
+    first read: the union of the radius-t balls around the center's nodes).
     """
 
     graph: object
@@ -57,7 +62,6 @@ class View:
     radius: int
     center_kind: str          # "node" | "edge"
     encoding: tuple
-    nodes: frozenset
     assignment: object = None
     inputs: object = None
 
@@ -66,6 +70,11 @@ class View:
 
     def __eq__(self, other):
         return isinstance(other, View) and self.encoding == other.encoding
+
+    @cached_property
+    def nodes(self):
+        ends = self.center if self.center_kind == "edge" else (self.center,)
+        return frozenset().union(*(bfs_distances(self.graph, u, self.radius) for u in ends))
 
     # -- payload access (restricted to the ball) -------------------------
 
@@ -119,9 +128,7 @@ def extract_view(g, center, t, assignment=None, inputs=None):
         else:
             first, second = sorted((enc_u, enc_v), key=repr)
             head = 0
-        ball = set(bfs_distances(g, u, t)) | set(bfs_distances(g, v, t))
         return View(g, edge_key(u, v), t, "edge", ("E", head, first, second),
-                    frozenset(ball), assignment, inputs)
+                    assignment, inputs)
     enc = _unfold(g, center, None, t, assignment, inputs)
-    ball = frozenset(bfs_distances(g, center, t))
-    return View(g, center, t, "node", ("N", enc), ball, assignment, inputs)
+    return View(g, center, t, "node", ("N", enc), assignment, inputs)

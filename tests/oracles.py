@@ -4,8 +4,9 @@ and the helpers only tests call.
 Each definition is the one ``lclsim`` used to carry, body unchanged: the
 per-node rules the whole-array LOCAL rounds replaced (``pointer_happy``,
 ``_closest_other_color``, the weak-coloring oracles), the dict BFS behind the
-leaf-free check, and small graph, bound and enumeration helpers.  Tests
-import them as they import ``conftest``.
+leaf-free check, the string-keyed copy ``run`` wrote its label maps through,
+and small graph, bound and enumeration helpers.  Tests import them as they
+import ``conftest``.
 """
 
 from dataclasses import dataclass
@@ -14,11 +15,13 @@ import mpmath
 import numpy as np
 
 from lclsim.bounds import PRECISION_BITS
+from lclsim.cli import NodeMap
 from lclsim.engine import ENUM_BUDGET_BITS
 from lclsim.errors import (BudgetExceededError, InvalidInputError,
                            InvalidParameterError)
-from lclsim.graph import PortedGraph, ball_irregularities, bfs_distances, edge_key
-from lclsim.problems import _sees_other_color
+from lclsim.graph import (PortedGraph, ball_irregularities, bfs_distances,
+                          dumps_canonical, edge_key)
+from lclsim.problems import HomogeneousLabel, PointerLabel, _sees_other_color
 
 # ---------------------------------------------------------------------------
 # algorithms
@@ -283,3 +286,34 @@ def enumerate_assignments(region, b, budget_bits=ENUM_BUDGET_BITS):
     mask = (1 << b) - 1
     for counter in range(1 << total_bits):
         yield {u: (counter >> (i * b)) & mask for i, u in enumerate(nodes)}
+
+
+# ---------------------------------------------------------------------------
+# cli
+# ---------------------------------------------------------------------------
+
+
+def _label_json(lab):
+    """One label as ``cmd_run``'s comprehensions spelled it, per label type."""
+    if isinstance(lab, PointerLabel):
+        return {"d": lab.d, "port": lab.port}
+    if isinstance(lab, HomogeneousLabel):
+        return {"inner": lab.inner,
+                "pointer": None if lab.pointer is None
+                else {"d": lab.pointer.d, "port": lab.pointer.port}}
+    return lab
+
+
+def _str_keyed(obj):
+    if isinstance(obj, NodeMap):
+        return {str(v): _label_json(lab) for v, lab in obj.labels.items()}
+    if isinstance(obj, dict):
+        return {k: _str_keyed(v) for k, v in obj.items()}
+    return obj
+
+
+def str_keyed_document(obj):
+    """The text ``write_json`` wrote before node maps rendered themselves:
+    every node map copied to a ``{str(node): label}`` dict, the whole
+    document then encoded by one ``dumps_canonical`` call."""
+    return dumps_canonical(_str_keyed(obj))

@@ -113,11 +113,12 @@ def write_json(path, obj):
     _write(path, _dumps(obj) + "\n")
 
 
-def parse_fraction(text):
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(text)
+def parse_fraction(text, flag):
+    num, _, den = text.partition("/")
+    try:
+        return Fraction(int(num), int(den)) if den else Fraction(text)
+    except ZeroDivisionError:
+        raise InvalidParameterError(f"{flag} {text}: the denominator is zero") from None
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +203,9 @@ def _load_coloring(path, n):
             raise InvalidInputError(f"coloring file {path} names no node {key!r}") from None
         if not 0 <= v < n:
             raise InvalidInputError(f"coloring file {path} names node {v}, outside 0..{n - 1}")
+        if isinstance(col, bool):  # JSON true/false would pass as the ints 1/0
+            raise InvalidInputError(f"coloring file {path} gives node {v} the color "
+                                    f"{json.dumps(col)}, which is not an integer")
         phi[v] = col
     missing = [v for v in range(n) if v not in phi]
     if missing:
@@ -302,13 +306,14 @@ def cmd_speedup(args):
     if args.algorithm not in sources:
         print(f"unknown source algorithm {args.algorithm!r}", file=sys.stderr)
         return EXIT_CONFIG
+    if args.grid < 0:
+        raise InvalidParameterError(f"--grid {args.grid}: give 0 (no grid) or more points")
     cfg = SpeedupConfig(delta=args.delta, c=args.c, t=args.t,
-                        f=parse_fraction(args.f), b=args.b)
+                        f=parse_fraction(args.f, "--f"), b=args.b)
     alg = sources[args.algorithm](args.delta, args.t, args.b, args.c, args.seed)
     g = gen_regular_tree(args.delta, args.t + 2)
-    report = verify_speedup_inequality(
-        g, alg, None, cfg, args.direction,
-        f_grid=default_f_grid(args.grid) if args.grid else [])
+    report = verify_speedup_inequality(g, alg, None, cfg, args.direction,
+                                       f_grid=default_f_grid(args.grid))
     obj = report.to_json_obj()
     obj["provenance"] = provenance(vars(args))
     obj["source"] = alg.name
@@ -339,9 +344,9 @@ def _emit_table(rows, header, args):
 
 def cmd_bounds(args):
     if args.calculator == "recurrence":
-        rows = []
+        rows, p0 = [], parse_fraction(args.p0, "--p0")
         for t in range(args.t + 1):
-            rb = recurrence_bound(args.c0, parse_fraction(args.p0), t, args.delta)
+            rb = recurrence_bound(args.c0, p0, t, args.delta)
             rows.append({"c0": args.c0, "t": t, "delta": args.delta,
                          "bound": float(rb.closed_form),
                          "log2_bound": _log2_fraction(rb.closed_form),
@@ -351,8 +356,7 @@ def cmd_bounds(args):
     if args.calculator == "global":
         rows = []
         for n in args.n:
-            gb = global_success_upper_bound(n, args.t, args.b)
-            row = gb.to_json_obj()
+            row = global_success_upper_bound(n, args.t, args.b).to_json_obj()
             rows.append({"n": n, "t": args.t, "b": args.b,
                          "bound": row["value"], "relaxed": row["relaxed"],
                          "condition_holds": row["condition_holds"]})

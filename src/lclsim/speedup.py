@@ -17,8 +17,8 @@ import numpy as np
 
 from .engine import DirectedPair, LocalAlgorithm, require_interior
 from .errors import InvalidInputError, InvalidParameterError
-from .oriented import (KERNEL_BUDGET_BITS, EdgeTable, NodeTable, ball_paths,
-                       edge_positions, endpoint_completion_frame,
+from .oriented import (KERNEL_BUDGET_BITS, EdgeTable, NodeTable, _check_table_bits,
+                       ball_paths, edge_positions, endpoint_completion_frame,
                        incident_edge_frame, key_tables, neighbor_frame,
                        overlap_tables, pack_edge_view, pack_node_view)
 
@@ -106,21 +106,13 @@ def node_local_failure(alg):
 def _relative_code_maps(labels):
     """Label-index -> small code of the label as seen by the plus / minus
     observer.  DirectedPair labels reorient; opaque labels are symmetric."""
-    codes = {}
-
-    def code_of(obj):
-        if obj not in codes:
-            codes[obj] = len(codes)
-        return codes[obj]
-
+    codes = {}                      # label -> code, in order of first sight
     plus = np.empty(len(labels), dtype=np.int64)
     minus = np.empty(len(labels), dtype=np.int64)
     for i, lab in enumerate(labels):
-        if isinstance(lab, DirectedPair):
-            plus[i] = code_of(lab.seen_from(+1))
-            minus[i] = code_of(lab.seen_from(-1))
-        else:
-            plus[i] = minus[i] = code_of(lab)
+        seen = ((lab.seen_from(+1), lab.seen_from(-1)) if isinstance(lab, DirectedPair)
+                else (lab, lab))
+        plus[i], minus[i] = (codes.setdefault(x, len(codes)) for x in seen)
     return plus, minus, len(codes)
 
 
@@ -185,6 +177,17 @@ def _threshold_mask(dist, f, free_bits):
     return np.bitwise_or.reduce(bits, axis=-1)
 
 
+def _per_level(con, f, key, make):
+    """``make()`` as computed on the first f of f's level: the number of the
+    construction's distinct counts that reach f.  Thresholds of one level give
+    the same frequent sets, so the same derived table and kernel results."""
+    level = int(_threshold_mask(con.counts[:, None], f, con.completion_bits).sum())
+    entry = con.levels.setdefault(level, {})
+    if key not in entry:
+        entry[key] = make()
+    return entry[key]
+
+
 @dataclass
 class EdgeSpeedupConstruction:
     """Edge algorithm derived from a node algorithm by frequency
@@ -192,7 +195,7 @@ class EdgeSpeedupConstruction:
 
     The per-endpoint conditional color distributions are exact integer
     counts and do not depend on the threshold, so one construction serves a
-    whole grid of f values.
+    whole grid of f values, thresholded and evaluated once per level.
     """
 
     source: NodeTable
@@ -210,40 +213,49 @@ class EdgeSpeedupConstruction:
         self.labels = tuple(DirectedPair(p >> c, p & ((1 << c) - 1))
                             for p in range(1 << (2 * c)))
         self.codes = _relative_code_maps(self.labels)
+        self.counts = np.unique([list(sides.values()) for sides in self.dists.values()])
+        self.levels = {}
 
     def frequent_masks(self, f):
-        out = {}
-        for dim, sides in self.dists.items():
-            out[dim] = {side: _threshold_mask(d, f, self.completion_bits)
-                        for side, d in sides.items()}
-        return out
+        return _per_level(self, f, "masks", lambda: {
+            dim: {side: _threshold_mask(d, f, self.completion_bits)
+                  for side, d in sides.items()}
+            for dim, sides in self.dists.items()})
 
-    def _tables(self, f, masks=None):
+    def _tables(self, masks):
         c = self.source.c
-        masks = self.frequent_masks(f) if masks is None else masks
         return {dim: (masks[dim]["P"] << c) | masks[dim]["M"] for dim in masks}
 
     def edge_table(self, f):
         return EdgeTable(delta=self.cfg.delta, t=self.rounds, b=self.cfg.b,
-                         labels=self.labels, tables=self._tables(f),
+                         labels=self.labels, tables=self._tables(self.frequent_masks(f)),
                          name=f"{self.source.name or 'node-alg'}->edges")
 
-    def local_failure(self, f, masks=None):
-        """Exact failure of the derived edge algorithm at threshold f;
-        ``masks`` are ``frequent_masks(f)`` when the caller has them."""
-        return _edge_failure(self.cfg.delta, self.rounds, self.cfg.b,
-                             self._tables(f, masks), self.codes)
+    def evaluate(self, f):
+        """p' and the goodness violation at f, computed once per level."""
+        masks = self.frequent_masks(f)
+        return _per_level(self, f, "results",
+                          lambda: (self._failure(masks), self._goodness(masks)))
 
-    def goodness_violation(self, f, masks=None):
+    def local_failure(self, f):
+        """Exact failure of the derived edge algorithm at threshold f."""
+        return self._failure(self.frequent_masks(f))
+
+    def _failure(self, masks):
+        return _edge_failure(self.cfg.delta, self.rounds, self.cfg.b,
+                             self._tables(masks), self.codes)
+
+    def goodness_violation(self, f):
         """Pr[some incident edge's frequent set omits the center's color].
 
         The radius-(t-1) edge balls sit inside the center's radius-t ball,
         so goodness is a deterministic event per center assignment.
-        ``masks`` are ``frequent_masks(f)`` when the caller has them.
         """
+        return self._goodness(self.frequent_masks(f))
+
+    def _goodness(self, masks):
         delta, t, b = self.cfg.delta, self.source.t, self.cfg.b
         m = len(ball_paths(delta, t))
-        masks = self.frequent_masks(f) if masks is None else masks
         out = self.source.table
         good = np.ones(out.size, dtype=bool)
         for direction in range(delta):
@@ -251,8 +263,7 @@ class EdgeSpeedupConstruction:
             if fr.free_count:
                 raise InvalidInputError("incident edge ball leaks outside B_t")
             known, _ = key_tables(fr, b, m)
-            side = "P" if direction % 2 == 0 else "M"
-            mask = masks[direction // 2 + 1][side]
+            mask = masks[direction // 2 + 1]["PM"[direction % 2]]
             good &= ((mask[known] >> out) & 1).astype(bool)
         return Fraction(int((~good).sum()), out.size)
 
@@ -303,6 +314,10 @@ class NodeSpeedupConstruction:
     dists: np.ndarray = field(repr=False)  # (keys, delta, c) counts
     completion_bits: int
 
+    def __post_init__(self):
+        self.counts = np.unique(self.dists)
+        self.levels = {}
+
     def node_table(self, f):
         """The derived table at threshold f.  A node's color packs its
         directions' c-bit frequent-set masks, direction i at bits i*c.
@@ -325,6 +340,10 @@ class NodeSpeedupConstruction:
         return NodeTable(delta=self.cfg.delta, t=self.rounds, b=self.cfg.b,
                          c=1 << (self.cfg.delta * c), table=code,
                          name=f"{self.source.name or 'edge-alg'}->nodes")
+
+    def evaluate(self, f):
+        """p' at f, computed once per level; direction 2 checks no goodness."""
+        return _per_level(self, f, "p_prime", lambda: self.local_failure(f)), None
 
     def local_failure(self, f):
         return node_local_failure(self.node_table(f))
@@ -419,9 +438,9 @@ def optimizing_f(direction, p_prime, c, delta):
 def verify_speedup_inequality(g, source, derived, cfg, direction, f_grid=None):
     """Exactly compute source and derived local failure probabilities and
     evaluate the direction's inequality at the configured f, at the
-    analysis-optimal f, and across a grid of thresholds (the construction
-    is re-thresholded per grid point; the conditional distributions are
-    shared).
+    analysis-optimal f, and across a grid of thresholds.  Thresholds of one
+    level share one derived table and one run of its kernels (``_per_level``);
+    ``rhs``, ``holds`` and ``goodness_holds`` use each point's own f.
 
     ``g`` anchors the claim: the center node must have full balls for both
     computations.  For direction 1 the goodness bound
@@ -443,13 +462,7 @@ def verify_speedup_inequality(g, source, derived, cfg, direction, f_grid=None):
         p = edge_local_failure(source)
 
     def evaluate(f):
-        if direction == 1:
-            # one thresholding serves the failure and the goodness check
-            masks = construction.frequent_masks(f)
-            p_prime = construction.local_failure(f, masks)
-            gv = construction.goodness_violation(f, masks)
-        else:
-            p_prime, gv = construction.local_failure(f), None
+        p_prime, gv = construction.evaluate(f)
         rhs = inequality_rhs(direction, p_prime, cfg.c, f, cfg.delta)
         return GridPoint(f=f, p_prime=p_prime, rhs=rhs, holds=p >= rhs,
                          goodness_violation=gv,
@@ -529,7 +542,6 @@ def center_mod_node_algorithm(delta, t, b, c):
 
 
 def random_node_algorithm(delta, t, b, c, seed):
-    from .oriented import _check_table_bits
     rng = np.random.default_rng(seed)
     m = len(ball_paths(delta, t))
     _check_table_bits(b * m)
@@ -560,7 +572,6 @@ def endpoint_sum_edge_algorithm(delta, t, b, c):
 
 
 def random_edge_algorithm(delta, t, b, c, seed):
-    from .oriented import _check_table_bits
     rng = np.random.default_rng(seed)
     tables = {}
     for dim in range(1, delta // 2 + 1):

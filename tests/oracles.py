@@ -5,8 +5,10 @@ Each definition is the one ``lclsim`` used to carry, body unchanged: the
 per-node rules the whole-array LOCAL rounds replaced (``pointer_happy``,
 ``_closest_other_color``, the weak-coloring oracles), the dict BFS behind the
 leaf-free check, the string-keyed copy ``run`` wrote its label maps through,
-and small graph, bound and enumeration helpers.  Tests import them as they
-import ``conftest``.
+and small graph, bound and enumeration helpers.  The per-point speedup sweep
+is the one exception: its loop is unchanged, but it calls the construction's
+kernels on masks it thresholds itself.  Tests import them as they import
+``conftest``.
 """
 
 from dataclasses import dataclass
@@ -16,12 +18,18 @@ import numpy as np
 
 from lclsim.bounds import PRECISION_BITS
 from lclsim.cli import NodeMap
-from lclsim.engine import ENUM_BUDGET_BITS
+from lclsim.engine import ENUM_BUDGET_BITS, require_interior
 from lclsim.errors import (BudgetExceededError, InvalidInputError,
                            InvalidParameterError)
 from lclsim.graph import (PortedGraph, ball_irregularities, bfs_distances,
                           dumps_canonical, edge_key)
+from lclsim.oriented import KERNEL_BUDGET_BITS
 from lclsim.problems import HomogeneousLabel, PointerLabel, _sees_other_color
+from lclsim.speedup import (GridPoint, SpeedupReport, _kernel_work,
+                            _threshold_mask, default_f_grid, edge_local_failure,
+                            edge_to_node_speedup, inequality_rhs,
+                            node_local_failure, node_to_edge_speedup,
+                            optimizing_f)
 
 # ---------------------------------------------------------------------------
 # algorithms
@@ -286,6 +294,64 @@ def enumerate_assignments(region, b, budget_bits=ENUM_BUDGET_BITS):
     mask = (1 << b) - 1
     for counter in range(1 << total_bits):
         yield {u: (counter >> (i * b)) & mask for i, u in enumerate(nodes)}
+
+
+# ---------------------------------------------------------------------------
+# speedup
+# ---------------------------------------------------------------------------
+
+
+def verify_speedup_inequality_per_point(g, source, derived, cfg, direction,
+                                        f_grid=None):
+    """``verify_speedup_inequality`` as it ran before thresholds of one level
+    shared their results: every f thresholds the stored counts itself and
+    runs the derived kernel (and, for direction 1, the goodness check)."""
+    require_interior(g, g.meta.get("center", 0), cfg.t + 1)
+    if g.delta != cfg.delta:
+        raise InvalidParameterError("graph degree does not match the config")
+    if direction not in (1, 2):
+        raise InvalidParameterError("direction must be 1 or 2")
+    if f_grid is None:
+        f_grid = default_f_grid()
+
+    if direction == 1:
+        construction = derived or node_to_edge_speedup(source, cfg)
+        p = node_local_failure(source)
+    else:
+        construction = derived or edge_to_node_speedup(source, cfg)
+        p = edge_local_failure(source)
+
+    def evaluate(f):
+        if direction == 1:
+            masks = {dim: {side: _threshold_mask(d, f, construction.completion_bits)
+                           for side, d in sides.items()}
+                     for dim, sides in construction.dists.items()}
+            p_prime = construction._failure(masks)
+            gv = construction._goodness(masks)
+        else:
+            p_prime, gv = node_local_failure(construction.node_table(f)), None
+        rhs = inequality_rhs(direction, p_prime, cfg.c, f, cfg.delta)
+        return GridPoint(f=f, p_prime=p_prime, rhs=rhs, holds=p >= rhs,
+                         goodness_violation=gv,
+                         goodness_holds=None if gv is None else gv <= cfg.delta * cfg.c * f)
+
+    at_f = evaluate(cfg.f)
+    f_star = optimizing_f(direction, at_f.p_prime, cfg.c, cfg.delta)
+    at_star = evaluate(f_star) if 0 < f_star < 1 else at_f
+    points = [evaluate(f) for f in f_grid]
+    all_points = [at_f, at_star] + points
+    metrics = {"grid_points": 1 + (at_star is not at_f) + len(points),
+               "kernel_budget_bits": KERNEL_BUDGET_BITS,
+               "kernels": _kernel_work(direction, cfg.delta, cfg.t, cfg.b)}
+    return SpeedupReport(
+        direction=direction, cfg=cfg, p=p,
+        p_prime=at_f.p_prime,
+        optimal_f=f_star, p_prime_at_optimal=at_star.p_prime,
+        grid=points,
+        inequality_holds=all(pt.holds for pt in all_points),
+        goodness_holds=all(pt.goodness_holds in (True, None) for pt in all_points),
+        metrics=metrics,
+    )
 
 
 # ---------------------------------------------------------------------------

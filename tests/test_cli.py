@@ -297,3 +297,35 @@ def test_config_with_other_flags_rejected(tmp_path, capsys):
                     "--out", str(tmp_path / "c.json")]) == 2
     assert not (tmp_path / "c.json").exists()
     assert "--config replaces the command line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["speedup", "--direction", "1", "--f", "1/0"], "--f 1/0: the denominator is zero"),
+    (["bounds", "recurrence", "--p0", "1/0"], "--p0 1/0: the denominator is zero"),
+    (["speedup", "--direction", "1", "--grid", "-5"], "--grid -5"),
+], ids=["f", "p0", "negative-grid"])
+def test_malformed_numbers_exit_config(tmp_path, capsys, argv, message):
+    out = tmp_path / "o.json"
+    assert run_cli(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
+def test_grid_zero_evaluates_no_grid(tmp_path):
+    out = tmp_path / "s.json"
+    assert run_cli(["speedup", "--direction", "1", "--grid", "0", "--out", str(out)]) == 0
+    obj = json.loads(out.read_text())
+    # the configured f and the optimal f only
+    assert obj["f_grid_results"] == [] and obj["metrics"]["grid_points"] == 2
+
+
+def test_boolean_color_exits_config(tmp_path, capsys):
+    cycle = tmp_path / "c5.json"
+    assert run_cli(["gen", "cycle", "--n", "5", "--out", str(cycle)]) == 0
+    col = tmp_path / "col.json"
+    col.write_text(json.dumps({str(v): True if v % 2 else 2 for v in range(5)}))
+    assert run_cli(["run", "--algorithm", "weak-family-to-weak2", "--k", "1", "--c", "2",
+                    "--graph", str(cycle), "--coloring", str(col), "--dump-stages",
+                    "--out", str(tmp_path / "o.json")]) == 2
+    assert not (tmp_path / "o.json").exists()
+    assert "gives node 1 the color true" in capsys.readouterr().err

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .engine import run_node_algorithm
-from .errors import InvalidInputError, PSolverViolation
+from .errors import InvalidInputError, InvalidParameterError, PSolverViolation
 from .graph import CycleIndex, frontier_slots, reduce_slots, slot_owners
 from .problems import HomogeneousLabel, PointerLabel, label_array, verify_weak_coloring
 
@@ -407,7 +407,13 @@ def solve_pointer_labeling_local(g, r, assignment):
     analysis is that of :func:`_pointer_labels`.  Needs identifiers;
     gathers radius r plus another r of look-ahead.
     """
+    _check_radius(r)
     return _pointer_labels(g, r, *_pointer_setup(g, assignment))
+
+
+def _check_radius(r):
+    if r < 0:
+        raise InvalidParameterError(f"radius r={r} must be >= 0")
 
 
 def _cycle_successor(cyc, ids):
@@ -464,6 +470,7 @@ def homogeneous_dispatch(g, p_solver, p_verifier, r, assignment):
     Raises :class:`PSolverViolation` if the inner verifier rejects some
     node whose radius-k ball is a full regular tree.
     """
+    _check_radius(r)
     k = p_solver.rounds + r
     pointer_labels = solve_pointer_labeling_local(g, k, assignment)
     inner = run_node_algorithm(g, p_solver, assignment)

@@ -126,7 +126,8 @@ class PortedGraph:
         if dim is None:
             dim = sign = np.zeros(m, np.int8)
         if m and (dim.min() < 0 or dim.max() > MAX_DELTA // 2
-                  or sign.min() < -1 or sign.max() > 1):
+                  or sign.min() < -1 or sign.max() > 1
+                  or ((dim == 0) != (sign == 0)).any()):   # oriented iff signed
             raise InvalidInstanceError("orientation label out of range")
         storage += [array(code, [0]) * (2 * m) for code in "ibbbb"]
         halves = ((u, v, pu, pv, dim, sign), (v, u, pv, pu, dim, -sign))

@@ -50,6 +50,11 @@ def verifier_report(problem, results):
 # ---------------------------------------------------------------------------
 
 
+def _is_color(col, c):
+    """An int in 1..c; not a bool, which would pass as the int 1 or 0."""
+    return isinstance(col, int) and not isinstance(col, bool) and 1 <= col <= c
+
+
 def verify_weak_coloring(g, phi, c, k):
     """Per-node pass/fail for distance-k weak c-coloring: node v passes iff
     some node within distance k carries a different color.  The colors go
@@ -57,7 +62,7 @@ def verify_weak_coloring(g, phi, c, k):
     colors = []
     for v in range(g.n):
         col = phi[v]
-        if not isinstance(col, int) or not 1 <= col <= c:
+        if not _is_color(col, c):
             raise InvalidLabelingError(f"color {col!r} of node {v} outside 1..{c}")
         colors.append(col)
     level = other_color_level(g, label_array(colors), k)
@@ -122,7 +127,7 @@ def verify_weak_edge_coloring(g, psi, c, delta):
     incomplete dimension is an invalid instance.
     """
     for e, col in psi.items():
-        if not isinstance(col, int) or not 1 <= col <= c:
+        if not _is_color(col, c):
             raise InvalidLabelingError(f"color {col!r} of edge {e} outside 1..{c}")
     results = {}
     for v in range(g.n):

@@ -6,10 +6,15 @@ center ball factorizes the failure events across branches of the tree, so
 every probability is an integer count over packed bit assignments divided
 by a power of two.  The inequalities being checked have right-hand sides
 around 1e-8, far below float comfort.
+
+Both speedup constructions keep their conditional color counts as one
+``(keys, delta, c)`` array, a column per direction slot (as in ``oriented``),
+and threshold and evaluate them once per level of the threshold f.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -57,10 +62,34 @@ def default_f_grid(points=100):
 # ---------------------------------------------------------------------------
 
 
+def _neighbor_frames(delta, t):
+    return [neighbor_frame(delta, t, d) for d in range(delta)]
+
+
+def _incident_frames(delta, t, s):
+    return [incident_edge_frame(delta, t, s, d) for d in range(delta)]
+
+
+def _endpoint_frames(delta, t, s):
+    """Per direction slot, the radius-t ball of the slot's endpoint (even
+    slots: the + endpoint) inside the radius-s edge ball of its dimension."""
+    return [endpoint_completion_frame(delta, t, s, d // 2 + 1, "PM"[d % 2])
+            for d in range(delta)]
+
+
 def _count_dtype(b, m, free_count, delta):
     """int64 while the failure count, at most ``2**(b*(m + free_count*delta))``,
     fits in 62 bits; Python ints (object arrays) beyond."""
     return np.int64 if b * (m + free_count * delta) <= 62 else object
+
+
+def _branch_product(branches, b, m, free_count, delta):
+    """Pr[every branch fails] from the branches' per-center-key counts of
+    failing completions, independent given the key: the sum of their products
+    over ``2**(b*m)`` keys times ``2**(b*free_count)`` per direction."""
+    dtype = _count_dtype(b, m, free_count, delta)
+    prod = math.prod(counts.astype(dtype, copy=False) for counts in branches)
+    return Fraction(int(prod.sum()), 1 << (b * (m + free_count * delta)))
 
 
 def _matches_per_key(rank, n_colors, proj, targets):
@@ -90,17 +119,10 @@ def node_local_failure(alg):
     delta, t, b = alg.delta, alg.t, alg.b
     m = len(ball_paths(delta, t))
     palette, rank = np.unique(alg.table, return_inverse=True)
-    prod = None
-    free_bits = 0
-    for direction in range(delta):
-        fr = neighbor_frame(delta, t, direction)
-        proj, targets = overlap_tables(fr, b, m)
-        counts = _matches_per_key(rank, palette.size, proj, targets)
-        counts = counts.astype(_count_dtype(b, m, fr.free_count, delta), copy=False)
-        prod = counts if prod is None else prod * counts
-        free_bits = b * fr.free_count
-    den = (1 << (b * m)) * (1 << (free_bits * delta))
-    return Fraction(int(prod.sum()), den)
+    frames = _neighbor_frames(delta, t)
+    return _branch_product(
+        (_matches_per_key(rank, palette.size, *overlap_tables(fr, b, m)) for fr in frames),
+        b, m, frames[0].free_count, delta)
 
 
 def _relative_code_maps(labels):
@@ -138,32 +160,24 @@ def edge_local_failure(alg):
     labels of a dimension are independent, and dimensions are independent
     of each other.
     """
-    return _edge_failure(alg.delta, alg.t, alg.b, alg.tables,
-                         _relative_code_maps(alg.labels))
+    plus, minus, n_codes = _relative_code_maps(alg.labels)
+    return _edge_failure(alg.delta, alg.t, alg.b,
+                         lambda d: (plus, minus)[d % 2][alg.tables[d // 2 + 1]], n_codes)
 
 
-def _edge_failure(delta, t, b, tables, codes):
-    rel_plus, rel_minus, n_codes = codes
+def _edge_failure(delta, t, b, coded, n_codes):
+    """``edge_local_failure`` where ``coded(d)[edge key]``, in ``[0, n_codes)``,
+    codes the label of the center's direction-d edge as the center sees it."""
     m = len(ball_paths(delta, t))
-    prod = None
-    free_bits = 0
-    for dim in range(1, delta // 2 + 1):
-        per_side = []
-        for direction in (2 * (dim - 1), 2 * (dim - 1) + 1):
-            fr = incident_edge_frame(delta, t, t, direction)
-            rel = rel_plus if direction % 2 == 0 else rel_minus
-            counts = _label_counts(fr, b, m, rel[tables[dim]], n_codes)
-            per_side.append(counts.astype(_count_dtype(b, m, fr.free_count, delta),
-                                          copy=False))
-            free_bits = b * fr.free_count
-        match = (per_side[0] * per_side[1]).sum(axis=1)
-        prod = match if prod is None else prod * match
-    den = (1 << (b * m)) * (1 << (free_bits * delta))
-    return Fraction(int(prod.sum()), den)
+    frames = _incident_frames(delta, t, t)
+    counts = (_label_counts(fr, b, m, coded(d), n_codes) for d, fr in enumerate(frames))
+    pairs = zip(counts, counts)     # a dimension's + slot, then its - slot
+    return _branch_product(((plus * minus).sum(axis=1) for plus, minus in pairs),
+                           b, m, frames[0].free_count, delta)
 
 
 # ---------------------------------------------------------------------------
-# Direction 1: node algorithm -> edge algorithm (one round faster)
+# Speedups: node -> edge one round faster (direction 1), edge -> node (2)
 # ---------------------------------------------------------------------------
 
 
@@ -177,73 +191,80 @@ def _threshold_mask(dist, f, free_bits):
     return np.bitwise_or.reduce(bits, axis=-1)
 
 
-def _per_level(con, f, key, make):
-    """``make()`` as computed on the first f of f's level: the number of the
-    construction's distinct counts that reach f.  Thresholds of one level give
-    the same frequent sets, so the same derived table and kernel results."""
-    level = int(_threshold_mask(con.counts[:, None], f, con.completion_bits).sum())
-    entry = con.levels.setdefault(level, {})
-    if key not in entry:
-        entry[key] = make()
-    return entry[key]
+@dataclass
+class _SpeedupConstruction:
+    """``dists[key, d, i]``: how many of the ``2**completion_bits`` completions
+    give color i to the source rule simulated for direction slot d.  The
+    counts do not depend on f, so one construction serves a whole grid;
+    thresholds of one level (how many distinct counts reach f) give the same
+    frequent sets, so a level is thresholded and evaluated once (``levels``)."""
+
+    source: NodeTable | EdgeTable
+    cfg: SpeedupConfig
+    rounds: int
+    dists: np.ndarray = field(repr=False)
+    completion_bits: int
+
+    def __post_init__(self):
+        self.counts = np.unique(self.dists)
+        self.levels = {}
+
+    @classmethod
+    def _from_frames(cls, alg, cfg, rounds, frames, m, table_of):
+        """Slot d counts the entries of ``table_of(d)`` over the completions
+        of ``frames[d]`` (``_label_counts``), per source key of m positions."""
+        if (cfg.delta, cfg.b, cfg.t, cfg.c) != (alg.delta, alg.b, alg.t, alg.c):
+            raise InvalidParameterError("config does not match the source algorithm")
+        dists = np.zeros((1 << (alg.b * m), len(frames), alg.c), dtype=np.int64)
+        for d, fr in enumerate(frames):
+            dists[:, d, :] = _label_counts(fr, alg.b, m, table_of(d), alg.c)
+        return cls(source=alg, cfg=cfg, rounds=rounds, dists=dists,
+                   completion_bits=alg.b * frames[0].free_count)
+
+    def _at_level(self, f, key, make):
+        at = (int(_threshold_mask(self.counts[:, None], f, self.completion_bits).sum()), key)
+        if at not in self.levels:
+            self.levels[at] = make()
+        return self.levels[at]
+
+    def frequent_masks(self, f):
+        """``(keys, delta)``: bit i of column d is set iff color i is
+        frequent for slot d at f."""
+        return self._at_level(f, "masks", lambda: _threshold_mask(
+            self.dists, f, self.completion_bits))
 
 
 @dataclass
-class EdgeSpeedupConstruction:
+class EdgeSpeedupConstruction(_SpeedupConstruction):
     """Edge algorithm derived from a node algorithm by frequency
-    thresholding over all completions of the endpoints' balls.
-
-    The per-endpoint conditional color distributions are exact integer
-    counts and do not depend on the threshold, so one construction serves a
-    whole grid of f values, thresholded and evaluated once per level.
-    """
-
-    source: NodeTable
-    cfg: SpeedupConfig
-    rounds: int
-    dists: dict = field(repr=False)        # dim -> {"P": counts, "M": counts}
-    completion_bits: int
-    labels: tuple = field(init=False, repr=False)
-    codes: tuple = field(init=False, repr=False)
-
-    def __post_init__(self):
-        # the 2^(2c) frequent-set pairs and their relative codes do not
-        # depend on the threshold
-        c = self.source.c
-        self.labels = tuple(DirectedPair(p >> c, p & ((1 << c) - 1))
-                            for p in range(1 << (2 * c)))
-        self.codes = _relative_code_maps(self.labels)
-        self.counts = np.unique([list(sides.values()) for sides in self.dists.values()])
-        self.levels = {}
-
-    def frequent_masks(self, f):
-        return _per_level(self, f, "masks", lambda: {
-            dim: {side: _threshold_mask(d, f, self.completion_bits)
-                  for side, d in sides.items()}
-            for dim, sides in self.dists.items()})
-
-    def _tables(self, masks):
-        c = self.source.c
-        return {dim: (masks[dim]["P"] << c) | masks[dim]["M"] for dim in masks}
+    thresholding over all completions of the endpoints' balls.  Slot d
+    counts the colors of the slot's endpoint.  A dimension's label is its
+    pair of frequent-color masks packed ``P << c | M`` (palette 2^(2c)),
+    which is also the pair as the + endpoint sees it; the - endpoint sees
+    the half-swap ``M << c | P``."""
 
     def edge_table(self, f):
-        return EdgeTable(delta=self.cfg.delta, t=self.rounds, b=self.cfg.b,
-                         labels=self.labels, tables=self._tables(self.frequent_masks(f)),
+        c, masks = self.source.c, self.frequent_masks(f)
+        labels = tuple(DirectedPair(*divmod(p, 1 << c)) for p in range(1 << (2 * c)))
+        return EdgeTable(delta=self.cfg.delta, t=self.rounds, b=self.cfg.b, labels=labels,
+                         tables={dim: (masks[:, 2 * dim - 2] << c) | masks[:, 2 * dim - 1]
+                                 for dim in range(1, self.cfg.delta // 2 + 1)},
                          name=f"{self.source.name or 'node-alg'}->edges")
-
-    def evaluate(self, f):
-        """p' and the goodness violation at f, computed once per level."""
-        masks = self.frequent_masks(f)
-        return _per_level(self, f, "results",
-                          lambda: (self._failure(masks), self._goodness(masks)))
 
     def local_failure(self, f):
         """Exact failure of the derived edge algorithm at threshold f."""
         return self._failure(self.frequent_masks(f))
 
+    def evaluate(self, f):
+        """p' and the goodness violation at f, computed once per level."""
+        masks = self.frequent_masks(f)
+        return self._at_level(f, "results",
+                              lambda: (self._failure(masks), self._goodness(masks)))
+
     def _failure(self, masks):
+        c = self.source.c
         return _edge_failure(self.cfg.delta, self.rounds, self.cfg.b,
-                             self._tables(masks), self.codes)
+                             lambda d: (masks[:, d] << c) | masks[:, d ^ 1], 1 << (2 * c))
 
     def goodness_violation(self, f):
         """Pr[some incident edge's frequent set omits the center's color].
@@ -258,13 +279,11 @@ class EdgeSpeedupConstruction:
         m = len(ball_paths(delta, t))
         out = self.source.table
         good = np.ones(out.size, dtype=bool)
-        for direction in range(delta):
-            fr = incident_edge_frame(delta, t, self.rounds, direction)
+        for direction, fr in enumerate(_incident_frames(delta, t, self.rounds)):
             if fr.free_count:
                 raise InvalidInputError("incident edge ball leaks outside B_t")
             known, _ = key_tables(fr, b, m)
-            mask = masks[direction // 2 + 1]["PM"[direction % 2]]
-            good &= ((mask[known] >> out) & 1).astype(bool)
+            good &= ((masks[known, direction] >> out) & 1).astype(bool)
         return Fraction(int((~good).sum()), out.size)
 
 
@@ -274,49 +293,24 @@ def node_to_edge_speedup(alg, cfg):
     For each edge view the rule enumerates every completion of both
     endpoints' radius-t balls; color i is frequent for an endpoint iff its
     conditional probability is at least f.  The label is the pair of
-    frequent-color bit vectors, plus endpoint first (palette 2^(2c)).
-    """
+    frequent-color bit vectors, plus endpoint first (palette 2^(2c), which
+    must fit the table-bits cap)."""
     if alg.t < 1:
         raise InvalidParameterError("node->edge speedup needs t >= 1")
-    if cfg.delta != alg.delta or cfg.b != alg.b or cfg.t != alg.t or cfg.c != alg.c:
-        raise InvalidParameterError("config does not match the source algorithm")
-    delta, t, b, c = alg.delta, alg.t, alg.b, alg.c
-    s = t - 1
-    dists = {}
-    completion_bits = 0
-    for dim in range(1, delta // 2 + 1):
-        m_e = len(edge_positions(delta, s, dim))
-        sides = {}
-        for side in ("P", "M"):
-            fr = endpoint_completion_frame(delta, t, s, dim, side)
-            sides[side] = _label_counts(fr, b, m_e, alg.table, c)
-            completion_bits = b * fr.free_count
-        dists[dim] = sides
-    return EdgeSpeedupConstruction(source=alg, cfg=cfg, rounds=s,
-                                   dists=dists, completion_bits=completion_bits)
-
-
-# ---------------------------------------------------------------------------
-# Direction 2: edge algorithm -> node algorithm (round-preserving)
-# ---------------------------------------------------------------------------
+    _check_table_bits(2 * alg.c)
+    s = alg.t - 1
+    return EdgeSpeedupConstruction._from_frames(
+        alg, cfg, s, _endpoint_frames(alg.delta, alg.t, s),
+        len(edge_positions(alg.delta, s, 1)), lambda d: alg.table)
 
 
 @dataclass
-class NodeSpeedupConstruction:
+class NodeSpeedupConstruction(_SpeedupConstruction):
     """Node algorithm derived from an edge algorithm: each node simulates
-    the edge rule on its incident edges over all completions and outputs
-    the ordered tuple of frequent-color bit vectors, edge order
-    (1,+), (1,-), (2,+), (2,-), ...  (palette 2^(delta*c))."""
-
-    source: EdgeTable
-    cfg: SpeedupConfig
-    rounds: int
-    dists: np.ndarray = field(repr=False)  # (keys, delta, c) counts
-    completion_bits: int
-
-    def __post_init__(self):
-        self.counts = np.unique(self.dists)
-        self.levels = {}
+    the edge rule on its incident edges over all completions (slot d counts
+    the labels of the node's direction-d edge) and outputs the ordered
+    tuple of frequent-color bit vectors, edge order (1,+), (1,-), (2,+),
+    (2,-), ...  (palette 2^(delta*c))."""
 
     def node_table(self, f):
         """The derived table at threshold f.  A node's color packs its
@@ -328,7 +322,7 @@ class NodeSpeedupConstruction:
         Up to ``delta*c = 62`` bits, which covers every CLI config, the
         color is the plain packing."""
         c = self.source.c
-        masks = _threshold_mask(self.dists, f, self.completion_bits)
+        masks = self.frequent_masks(f)
         code, width = masks[:, 0], c
         for direction in range(1, self.cfg.delta):
             if width + c > 62:
@@ -343,7 +337,7 @@ class NodeSpeedupConstruction:
 
     def evaluate(self, f):
         """p' at f, computed once per level; direction 2 checks no goodness."""
-        return _per_level(self, f, "p_prime", lambda: self.local_failure(f)), None
+        return self._at_level(f, "p_prime", lambda: self.local_failure(f)), None
 
     def local_failure(self, f):
         return node_local_failure(self.node_table(f))
@@ -351,19 +345,9 @@ class NodeSpeedupConstruction:
 
 def edge_to_node_speedup(alg, cfg):
     """Round-preserving node algorithm built from the edge algorithm."""
-    if cfg.delta != alg.delta or cfg.b != alg.b or cfg.t != alg.t or cfg.c != alg.c:
-        raise InvalidParameterError("config does not match the source algorithm")
-    delta, t, b, c = alg.delta, alg.t, alg.b, alg.c
-    m = len(ball_paths(delta, t))
-    dists = np.zeros((1 << (b * m), delta, c), dtype=np.int64)
-    completion_bits = 0
-    for direction in range(delta):
-        fr = incident_edge_frame(delta, t, t, direction)
-        dists[:, direction, :] = _label_counts(
-            fr, b, m, alg.tables[direction // 2 + 1], c)
-        completion_bits = b * fr.free_count
-    return NodeSpeedupConstruction(source=alg, cfg=cfg, rounds=t,
-                                   dists=dists, completion_bits=completion_bits)
+    return NodeSpeedupConstruction._from_frames(
+        alg, cfg, alg.t, _incident_frames(alg.delta, alg.t, alg.t),
+        len(ball_paths(alg.delta, alg.t)), lambda d: alg.tables[d // 2 + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +423,9 @@ def verify_speedup_inequality(g, source, derived, cfg, direction, f_grid=None):
     """Exactly compute source and derived local failure probabilities and
     evaluate the direction's inequality at the configured f, at the
     analysis-optimal f, and across a grid of thresholds.  Thresholds of one
-    level share one derived table and one run of its kernels (``_per_level``);
-    ``rhs``, ``holds`` and ``goodness_holds`` use each point's own f.
+    level share one derived table and one run of its kernels (the
+    construction's ``levels``); ``rhs``, ``holds`` and ``goodness_holds``
+    use each point's own f.
 
     ``g`` anchors the claim: the center node must have full balls for both
     computations.  For direction 1 the goodness bound
@@ -454,12 +439,10 @@ def verify_speedup_inequality(g, source, derived, cfg, direction, f_grid=None):
     if f_grid is None:
         f_grid = default_f_grid()
 
-    if direction == 1:
-        construction = derived or node_to_edge_speedup(source, cfg)
-        p = node_local_failure(source)
-    else:
-        construction = derived or edge_to_node_speedup(source, cfg)
-        p = edge_local_failure(source)
+    build, failure = ((node_to_edge_speedup, node_local_failure) if direction == 1
+                      else (edge_to_node_speedup, edge_local_failure))
+    construction = derived or build(source, cfg)
+    p = failure(source)
 
     def evaluate(f):
         p_prime, gv = construction.evaluate(f)
@@ -498,19 +481,15 @@ def _kernel_work(direction, delta, t, b):
                 "bits": max(b * (m + fr.free_count) for fr in frames)}
 
     m = len(ball_paths(delta, t))
-    neighbors = [neighbor_frame(delta, t, d) for d in range(delta)]
-    incident = [incident_edge_frame(delta, t, t, d) for d in range(delta)]
     if direction == 2:
-        return {"source_failure": work(incident, m),
-                "construction": work(incident, m),
-                "derived_failure": work(neighbors, m)}
+        incident = work(_incident_frames(delta, t, t), m)
+        return {"source_failure": incident, "construction": incident,
+                "derived_failure": work(_neighbor_frames(delta, t), m)}
     s = t - 1
-    endpoints = [endpoint_completion_frame(delta, t, s, dim, side)
-                 for dim in range(1, delta // 2 + 1) for side in ("P", "M")]
-    derived = [incident_edge_frame(delta, s, s, d) for d in range(delta)]
-    return {"source_failure": work(neighbors, m),
-            "construction": work(endpoints, len(edge_positions(delta, s, 1))),
-            "derived_failure": work(derived, len(ball_paths(delta, s)))}
+    return {"source_failure": work(_neighbor_frames(delta, t), m),
+            "construction": work(_endpoint_frames(delta, t, s),
+                                 len(edge_positions(delta, s, 1))),
+            "derived_failure": work(_incident_frames(delta, s, s), len(ball_paths(delta, s)))}
 
 
 # ---------------------------------------------------------------------------

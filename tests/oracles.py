@@ -323,9 +323,7 @@ def verify_speedup_inequality_per_point(g, source, derived, cfg, direction,
 
     def evaluate(f):
         if direction == 1:
-            masks = {dim: {side: _threshold_mask(d, f, construction.completion_bits)
-                           for side, d in sides.items()}
-                     for dim, sides in construction.dists.items()}
+            masks = _threshold_mask(construction.dists, f, construction.completion_bits)
             p_prime = construction._failure(masks)
             gv = construction._goodness(masks)
         else:

@@ -11,7 +11,7 @@ from lclsim.algorithms import (build_pseudoforest,
                                weak_family_to_weak2, weak_to_weak2c)
 from lclsim.cli import random_valid_weak_coloring
 from lclsim.engine import Assignment, LocalAlgorithm
-from lclsim.errors import InvalidInputError, PSolverViolation
+from lclsim.errors import InvalidInputError, InvalidParameterError, PSolverViolation
 from lclsim.graph import (PortedGraph, bfs_distances,
                           gen_balanced_tree, gen_cycle, gen_regular_tree,
                           gen_symlower_pair, plant_irregularities)
@@ -345,3 +345,17 @@ def test_dispatch_mixed_instance_with_cycle():
     labels = homogeneous_dispatch(g, solver, inner_ok, 1, a)
     from lclsim.problems import verify_homogeneous
     assert all(verify_homogeneous(g, labels, inner_ok, 4).values())
+
+
+def test_negative_radius_rejected():
+    """A negative radius used to label no node (``solve_pointer_labeling_local``)
+    or skip the pointer side (``homogeneous_dispatch``) and report success."""
+    g = gen_regular_tree(4, 2)
+    a = Assignment.random(g, 1, seed=4, with_ids=True)
+    with pytest.raises(InvalidParameterError, match="radius r=-1"):
+        solve_pointer_labeling_local(g, -1, a)
+    solver = LocalAlgorithm(rounds=2, kind="node", rule=lambda view: 1)
+    with pytest.raises(InvalidParameterError, match="radius r=-1"):
+        homogeneous_dispatch(g, solver, lambda gg, v, inner: inner.get(v) == 1, -1, a)
+    labels = solve_pointer_labeling_local(g, 0, a)       # r = 0 stays valid
+    assert 0 not in labels and all(g.degree(v) == 1 for v in labels)

@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -114,6 +119,39 @@ def test_speedup_budget_exit(tmp_path):
     assert code == 3
 
 
+def test_speedup_pair_palette_cap_exits_budget(tmp_path):
+    """Direction 1's derived labels are pairs of c-bit masks, a 2^(2c)
+    palette.  Past the table-bits cap (c >= 12) it exits 3 before any table
+    is built; it used to build every pair label and never exit at c = 100.
+    Run in a child process, so a hang fails the test instead of stalling it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(lclsim.cli.__file__).parents[1]))
+
+    def speedup(c):
+        return subprocess.run(
+            [sys.executable, "-m", "lclsim.cli", "speedup", "--direction", "1",
+             "--c", str(c), "--out", str(tmp_path / f"s{c}.json")],
+            capture_output=True, text=True, env=env, timeout=60)
+
+    start = time.perf_counter()
+    big = speedup(100)
+    assert big.returncode == 3 and time.perf_counter() - start < 30
+    assert "budget exceeded: table over 200 bits exceeds the 22-bit cap" in big.stderr
+    assert not (tmp_path / "s100.json").exists()
+    assert speedup(12).returncode == 3
+    assert speedup(8).returncode == 0
+    assert json.loads((tmp_path / "s8.json").read_text())["cfg"]["c"] == 8
+
+
+@pytest.mark.parametrize("algorithm", ["homogeneous-constant", "solve-pointers-local"])
+def test_negative_radius_exits_config(tmp_path, capsys, algorithm):
+    tree = tmp_path / "tree.json"
+    run_cli(["gen", "regular-tree", "--delta", "4", "--radius", "2", "--out", str(tree)])
+    assert run_cli(["run", "--algorithm", algorithm, "--graph", str(tree), "--r", "-1",
+                    "--out", str(tmp_path / "o.json")]) == 2
+    assert "radius r=-1 must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_bounds_tables(tmp_path, capsys):
     assert run_cli(["bounds", "recurrence", "--c0", "2", "--p0", "1/16",
                     "--t", "2", "--delta", "4", "--format", "json",
@@ -215,6 +253,16 @@ def test_malformed_coloring_file_exits_config(tmp_path, capsys, coloring, messag
                     "--coloring", str(col), "--out", str(tmp_path / "o.json")]) == 2
     err = capsys.readouterr().err
     assert message in err and str(col) in err
+
+
+@pytest.mark.parametrize("row", [[0, 1, 0, 0, 1, 0], [0, 1, 0, 0, 0, 1]],
+                         ids=["dim-unsigned", "signed-unoriented"])
+def test_half_oriented_edge_exits_config(tmp_path, capsys, row):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(PATH3, edges=[row, [1, 2, 1, 0, 0, 0]])))
+    assert run_cli(["run", "--algorithm", "solve-pointers", "--graph", str(bad),
+                    "--out", str(tmp_path / "o.json")]) == 2
+    assert "orientation label out of range" in capsys.readouterr().err
 
 
 def test_solve_pointers_without_irregularity_exits_config(tmp_path, capsys):

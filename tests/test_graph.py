@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from conftest import brute_canonical_cycle, random_graph, random_tree, relabeled
+from conftest import (brute_canonical_cycle, pruned_oriented_tree, random_graph,
+                      random_tree, relabeled)
 from lclsim.errors import InvalidInstanceError, InvalidParameterError
 from lclsim.graph import (PortedGraph, bfs_distances, cycle_detour,
                           gen_balanced_tree, gen_cycle, gen_regular_tree,
@@ -237,3 +238,37 @@ def test_independent_execution_set_small():
 def test_distance_helper():
     g = gen_cycle(6)
     assert distance(g, 0, 3) == 3
+
+
+@pytest.mark.parametrize("row", [(0, 1, 0, 0, 1, 0), (0, 1, 0, 0, 0, 1), (0, 1, 0, 0, 0, -1)],
+                         ids=["dim-unsigned", "signed-unoriented+", "signed-unoriented-"])
+def test_orientation_label_needs_dim_and_sign_together(row):
+    """An edge is oriented iff it has both a dimension and a sign: a
+    dimension with sign 0 used to load with both ends reading (1, 0)."""
+    with pytest.raises(InvalidInstanceError, match="orientation label out of range"):
+        PortedGraph.from_edges(2, [row])
+    with pytest.raises(InvalidInstanceError, match="orientation label out of range"):
+        PortedGraph.from_edges(3, [(0, 1, 0, 0, 1, 1), (1, 2, 1, 0) + row[4:]])
+
+
+def test_every_generator_output_loads(tmp_path):
+    """The orientation check passes every graph the generators build, after
+    a save and a load."""
+    t, tp, _ = gen_symlower_pair(3, 3)
+    base = gen_balanced_tree(4, 4)
+    graphs = {
+        "regular-tree": gen_regular_tree(4, 3), "regular-tree-6": gen_regular_tree(6, 2),
+        "balanced-tree": gen_balanced_tree(3, 3), "cycle": gen_cycle(7),
+        "symlower-t": t, "symlower-tprime": tp,
+        "planted": plant_irregularities(base, [("cycle", 2), ("low-degree", 3)]),
+        "planted-empty": plant_irregularities(gen_regular_tree(4, 2), []),
+        "random-tree": random_tree(40, 4, 1), "random-graph": random_graph(40, 4, 2),
+        "pruned-oriented": pruned_oriented_tree(4, 3, 3),
+        "relabeled": relabeled(gen_regular_tree(4, 2), 4)[0],
+    }
+    for name, g in graphs.items():
+        path = tmp_path / f"{name}.json"
+        g.save(path)
+        loaded = PortedGraph.load(path)
+        assert loaded.n == g.n and loaded.oriented == g.oriented, name
+        assert [x.tolist() for x in loaded.csr()] == [x.tolist() for x in g.csr()], name

@@ -71,7 +71,7 @@ def oracle_tree_labels(g, r, low):
 def oracle_verify_weak_coloring(g, phi, c, k):
     for v in range(g.n):
         col = phi[v]
-        if not isinstance(col, int) or not 1 <= col <= c:
+        if isinstance(col, bool) or not isinstance(col, int) or not 1 <= col <= c:
             raise InvalidLabelingError(f"color {col!r} of node {v} outside 1..{c}")
     return {v: _sees_other_color(g, v, phi, k) for v in range(g.n)}
 

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -203,3 +204,21 @@ def test_lcl_spec_wrapper():
     assert spec.radius == 1 and spec.output_alphabet == (1, 2)
     assert spec.verify(g, {0: 1, 1: 1, 2: 2}) == \
         verify_weak_coloring(g, {0: 1, 1: 1, 2: 2}, 2, 1)
+
+
+def test_weak_coloring_rejects_boolean_colors():
+    """``True`` is the int 1 to ``isinstance``; as a color it is rejected,
+    as the CLI's coloring-file loader rejects JSON true."""
+    g = gen_cycle(4)
+    with pytest.raises(InvalidLabelingError, match="color True of node 0"):
+        verify_weak_coloring(g, {0: True, 1: 2, 2: True, 3: 2}, 2, 1)
+    assert all(verify_weak_coloring(g, {0: 1, 1: 2, 2: 1, 3: 2}, 2, 1).values())
+
+
+def test_weak_edge_coloring_rejects_boolean_colors():
+    g = gen_regular_tree(4, 1)
+    psi = {edge_key(0, u): 1 + (i % 2) for i, u in enumerate(g.adjacent(0))}
+    assert verify_weak_edge_coloring(g, psi, 2, 4)[0]
+    first = edge_key(0, g.adjacent(0)[0])
+    with pytest.raises(InvalidLabelingError, match=re.escape(f"color True of edge {first}")):
+        verify_weak_edge_coloring(g, psi | {first: True}, 2, 4)

@@ -33,8 +33,6 @@ CASES = [(direction, src, delta, t, b, c)
 
 
 def count_arrays(con):
-    if isinstance(con.dists, dict):
-        return [d for sides in con.dists.values() for d in sides.values()]
     return [con.dists]
 
 

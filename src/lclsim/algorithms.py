@@ -21,7 +21,8 @@ import numpy as np
 from .engine import run_node_algorithm
 from .errors import InvalidInputError, InvalidParameterError, PSolverViolation
 from .graph import CycleIndex, frontier_slots, reduce_slots, slot_owners
-from .problems import HomogeneousLabel, PointerLabel, label_array, verify_weak_coloring
+from .problems import (HomogeneousLabel, PointerLabel, color_array, label_array,
+                       other_color_level)
 
 
 # ---------------------------------------------------------------------------
@@ -38,32 +39,35 @@ class RecolorDetail:
     first_port: int           # port of the first step toward the target
 
 
-def weak_to_weak2c(g, phi, k, c, validate=True):
+def weak_to_weak2c(g, phi, k, c, validate=True, detail=True):
     """Distance-k weak c-coloring -> distance-1 weak 2c-coloring in k rounds.
 
     Each node locates its closest differently-colored node (ties: smallest
     color, then lexicographically smallest port path) and appends the
     parity of that distance to its own color.  Returns the new coloring
     (colors in [2c]), the round count, and per-node detail for the parity
-    argument check.  All nodes search at once: k sweeps over ``g.csr()``
-    (:func:`_recolor_sweeps`) give each node the breadth-first search in
-    port-path order whose first level holding another color decides, the
-    smallest (color, port path) of that level winning.
+    argument check (None with ``detail=False``, which builds no
+    :class:`RecolorDetail`).  All nodes search at once: k sweeps over
+    ``g.csr()`` (:func:`_recolor_sweeps`) give each node the breadth-first
+    search in port-path order whose first level holding another color
+    decides, the smallest (color, port path) of that level winning.
     """
     if validate:
-        results = verify_weak_coloring(g, phi, c, k)
-        bad = [v for v, ok in results.items() if not ok]
-        if bad:
+        colors = color_array(g, phi, c)
+        bad = np.flatnonzero(other_color_level(g, colors, k) == 0)
+        if bad.size:
             raise InvalidInputError(
-                f"not a valid distance-{k} weak {c}-coloring; offenders {bad[:5]}")
-    colors = [phi[v] for v in range(g.n)]
-    target, dist, first_port = _recolor_sweeps(g, label_array(colors), k)
+                f"not a valid distance-{k} weak {c}-coloring; offenders {bad[:5].tolist()}")
+    else:
+        colors = label_array([phi[v] for v in range(g.n)])
+    target, dist, first_port = _recolor_sweeps(g, colors, k)
     dist = dist.tolist()
     # Python ints: a palette may pass int64
-    out = {v: (col - 1) * 2 + d % 2 + 1 for v, col, d in zip(range(g.n), colors, dist)}
-    detail = dict(zip(range(g.n), map(RecolorDetail, target.tolist(), dist,
-                                      first_port.tolist())))
-    return out, k, detail
+    new = [(col - 1) * 2 + d % 2 + 1 for col, d in zip(colors.tolist(), dist)]
+    nodes = range(g.n)
+    details = dict(zip(nodes, map(RecolorDetail, target.tolist(), dist,
+                                  first_port.tolist()))) if detail else None
+    return dict(zip(nodes, new)), k, details
 
 
 # fields of a packed search entry, high to low: distance, first port + 1
@@ -150,8 +154,16 @@ class Pseudoforest:
 def build_pseudoforest(g, phi2):
     """Each node picks its smallest-port neighbor of a different color
     (the first such slot of its CSR range)."""
+    out_port, parent = _pseudoforest_arrays(g, label_array([phi2[v] for v in range(g.n)]))
+    nodes = range(g.n)
+    return Pseudoforest(out_port=dict(zip(nodes, out_port.tolist())),
+                        parent=dict(zip(nodes, parent.tolist())))
+
+
+def _pseudoforest_arrays(g, colors):
+    """:func:`build_pseudoforest` on a color array, as ``(out_port,
+    parent)`` arrays."""
     indptr, nbr, my_port = g.csr()[:3]
-    colors = label_array([phi2[v] for v in range(g.n)])
     src = slot_owners(indptr)
     slots = np.flatnonzero(colors[nbr] != colors[src])
     first = slots[np.diff(src[slots], prepend=-1) != 0]
@@ -160,9 +172,7 @@ def build_pseudoforest(g, phi2):
         lacking[src[first]] = False
         raise InvalidInputError(
             f"node {np.flatnonzero(lacking)[0]} has no differently-colored neighbor")
-    nodes = range(g.n)
-    return Pseudoforest(out_port=dict(zip(nodes, my_port[first].tolist())),
-                        parent=dict(zip(nodes, nbr[first].tolist())))
+    return my_port[first], nbr[first]
 
 
 def cole_vishkin_step(own, parent):
@@ -201,10 +211,18 @@ def cole_vishkin_reduce(pf, colors, c_prime):
     Iterated bit-index relabeling against the pointer target until at most
     6 colors remain, then three shift-down-and-recolor passes eliminate
     colors 6, 5, 4 (1-based).  Properness along pointers holds after every
-    step.  Every step relabels all nodes at once over the parent array.
-    Returns (coloring in {1,2,3}, rounds).
+    step.  Every step relabels all nodes at once over the parent array
+    (:func:`_cole_vishkin`).  Returns (coloring in {1,2,3}, rounds).
     """
     nodes, x, par = _pointer_arrays(pf, {v: col - 1 for v, col in colors.items()})
+    x, rounds = _cole_vishkin(nodes, x, par, c_prime)
+    return dict(zip(nodes, (x + 1).tolist())), rounds
+
+
+def _cole_vishkin(nodes, x, par, c_prime):
+    """:func:`cole_vishkin_reduce` on the 0-based color array ``x`` of
+    ``nodes`` and the position of each one's pointer target; the colors
+    it returns are 0-based too."""
     agree = np.flatnonzero(x == x[par])
     if agree.size:
         raise InvalidInputError(f"colors of {nodes[agree[0]]} and its pointer target agree")
@@ -223,7 +241,7 @@ def cole_vishkin_reduce(pf, colors, c_prime):
             free = np.where((a != 0) & (b != 0), 0, np.where((a != 1) & (b != 1), 1, 2))
             x = np.where(shifted == target, free, shifted)
             rounds += 2
-    return dict(zip(nodes, (x + 1).tolist())), rounds
+    return x, rounds
 
 
 def mis_to_weak2(pf, psi):
@@ -233,6 +251,12 @@ def mis_to_weak2(pf, psi):
     a class joins at once: every member without a joined pointer neighbor
     (its target or a node pointing at it)."""
     nodes, col, par = _pointer_arrays(pf, psi)
+    return dict(zip(nodes, _mis(nodes, col, par).tolist())), 3
+
+
+def _mis(nodes, col, par):
+    """:func:`mis_to_weak2`'s labels as an array, from the color array of
+    ``nodes`` and the position of each one's pointer target."""
     clash = np.flatnonzero(np.isin(col, (1, 2, 3)) & (col == col[par]))
     if clash.size:
         raise InvalidInputError(f"colors of {nodes[clash[0]]} and its pointer target agree")
@@ -241,7 +265,7 @@ def mis_to_weak2(pf, psi):
         pointed_at = np.zeros(len(nodes), bool)
         pointed_at[par[joined]] = True
         joined |= (col == cls) & ~joined[par] & ~pointed_at
-    return dict(zip(nodes, np.where(joined, 1, 2).tolist())), 3
+    return np.where(joined, 1, 2)
 
 
 @dataclass
@@ -264,18 +288,23 @@ def weak_family_to_weak2(g, phi, k, c):
     of the distance to the closest other color (k frontier sweeps), point
     at the smallest-port neighbor of another color, Cole-Vishkin down to 3
     colors over the parent array, then the greedy MIS one color class at a
-    time.
+    time.  The stages hand arrays to each other; dicts are built only for
+    the result.
     """
-    phi2, r_recolor, _ = weak_to_weak2c(g, phi, k, c)
-    pf = build_pseudoforest(g, phi2)
-    psi, r_cv = cole_vishkin_reduce(pf, phi2, 2 * c)
-    labels, r_mis = mis_to_weak2(pf, psi)
+    phi2, r_recolor, _ = weak_to_weak2c(g, phi, k, c, detail=False)
+    nodes = range(g.n)
+    colors = label_array(list(phi2.values()))
+    out_port, parent = _pseudoforest_arrays(g, colors)
+    psi, r_cv = _cole_vishkin(nodes, colors - 1, parent, 2 * c)
+    psi += 1
+    labels = _mis(nodes, psi, parent)
     stage_rounds = {"recolor": r_recolor, "pseudoforest": 1,
-                    "color-reduction": r_cv, "mis": r_mis}
-    return PipelineResult(labels=labels,
+                    "color-reduction": r_cv, "mis": 3}
+    return PipelineResult(labels=dict(zip(nodes, labels.tolist())),
                           rounds=sum(stage_rounds.values()),
                           stage_rounds=stage_rounds, recolored=phi2,
-                          pseudoforest_ports=pf.out_port, three_coloring=psi)
+                          pseudoforest_ports=dict(zip(nodes, out_port.tolist())),
+                          three_coloring=dict(zip(nodes, psi.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +503,17 @@ def homogeneous_dispatch(g, p_solver, p_verifier, r, assignment):
     k = p_solver.rounds + r
     pointer_labels = solve_pointer_labeling_local(g, k, assignment)
     inner = run_node_algorithm(g, p_solver, assignment)
-    labels = {v: HomogeneousLabel(inner=inner.get(v), pointer=pointer_labels.get(v))
-              for v in range(g.n)}
+    # one label per (inner label, pointer label) pair of objects; keyed by
+    # identity, which also serves unhashable inner labels
+    shared = {}
+    labels = {}
+    for v in range(g.n):
+        i, p = inner.get(v), pointer_labels.get(v)
+        key = (id(i), id(p))
+        lab = shared.get(key)
+        if lab is None:
+            lab = shared[key] = HomogeneousLabel(inner=i, pointer=p)
+        labels[v] = lab
     bad = [v for v in range(g.n)
            if v not in pointer_labels and not p_verifier(g, v, inner)]
     if bad:

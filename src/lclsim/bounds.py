@@ -8,15 +8,21 @@ every reported number reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 
-from .errors import DomainError, InvalidParameterError
+from .errors import BudgetExceededError, DomainError, InvalidParameterError
 
 PRECISION_BITS = 256
+
+# Largest result recurrence_bound computes, in bits of the exact power's
+# denominator; 2**26 keeps t <= 4 at delta 4 (the README's c0=2, p0=1/16
+# needs about 2**23.9 bits at t=4 and 2**28.5 at t=5).
+RECURRENCE_BUDGET_BITS = 1 << 26
 
 # Cap on the Newton steps of zero_round_optimum; delta <= 16 with c <= 64
 # stops after at most 30.
@@ -126,6 +132,8 @@ def recurrence_bound(c0, p0, t, delta=4):
 
     Computed twice in exact rational arithmetic: directly, and by raising
     to the (delta+1)-th power 2t+1 times; both must agree bit for bit.
+    A result estimated past ``RECURRENCE_BUDGET_BITS`` raises
+    :class:`BudgetExceededError` before any power is taken.
     """
     if c0 < 1 or t < 0:
         raise InvalidParameterError("need c0 >= 1 and t >= 0")
@@ -134,6 +142,12 @@ def recurrence_bound(c0, p0, t, delta=4):
         raise InvalidParameterError("p0 must be a probability")
     base = p0 / ((delta + 1) * c0)
     steps = 2 * t + 1
+    if 0 < base < 1:   # the result's denominator has about bits * (delta+1)^steps bits
+        log2_bits = math.log2(base.denominator.bit_length()) + steps * math.log2(delta + 1)
+        if log2_bits > math.log2(RECURRENCE_BUDGET_BITS):
+            raise BudgetExceededError(
+                f"the t={t} recurrence bound has about 2^{log2_bits:.1f} bits, past the "
+                f"budget of 2^{RECURRENCE_BUDGET_BITS.bit_length() - 1}")
     closed = base ** ((delta + 1) ** steps)
     iterated = base
     for _ in range(steps):

@@ -10,14 +10,13 @@ solver's search; the thresholds evaluated and the exact kernels' sizes).
 ``--out -`` writes the JSON document to stdout and the summary line to
 stderr, so stdout parses as JSON.
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 exact-enumeration budget exceeded.
+Exit codes: 0 success, 1 verification failure, 2 configuration error (also
+a path that cannot be read), 3 exact budget exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import json
 import random
@@ -31,7 +30,7 @@ from .algorithms import (homogeneous_dispatch, solve_pointer_labeling,
                          weak_to_weak2c)
 from .bounds import (global_success_upper_bound, id_collision_bound,
                      recurrence_bound, zero_round_optimum)
-from .engine import Assignment, LocalAlgorithm
+from .engine import Assignment, LocalAlgorithm, randbelow_array
 from .errors import (BudgetExceededError, DomainError, InvalidInputError,
                      InvalidInstanceError, InvalidLabelingError,
                      InvalidParameterError, PSolverViolation)
@@ -75,10 +74,17 @@ class NodeMap:
         self.labels = labels
 
     def dumps(self):
-        # each distinct label is encoded once; '"' sorts below every digit, so
-        # sorted '"node":label' entries are in the key order sort_keys=True gives
-        text = functools.lru_cache(maxsize=None, typed=True)(
-            lambda label: _dumps(asdict(label) if is_dataclass(label) else label))
+        # each label object is encoded once, keyed by identity: shared labels
+        # are not hashed per node, unhashable ones work, and the map keeps
+        # every label alive; '"' sorts below every digit, so sorted
+        # '"node":label' entries are in the key order sort_keys=True gives
+        texts = {}
+
+        def text(label):
+            out = texts.get(id(label))
+            if out is None:
+                out = texts[id(label)] = _dumps(asdict(label) if is_dataclass(label) else label)
+            return out
         return "{" + ",".join(sorted([f'"{v}":{text(label)}'
                                       for v, label in self.labels.items()])) + "}"
 
@@ -166,7 +172,7 @@ def random_valid_weak_coloring(g, c, k, seed):
     if k < 1:
         raise InvalidParameterError("a weak coloring needs distance --k >= 1")
     rng = random.Random(seed)
-    phi = {v: rng.randrange(1, c + 1) for v in range(g.n)}
+    phi = dict(zip(range(g.n), (randbelow_array(rng, c, g.n) + 1).tolist()))
     for _ in range(REPAIR_PASSES):
         bad = [v for v, ok in verify_weak_coloring(g, phi, c, k).items() if not ok]
         if not bad:
@@ -223,7 +229,7 @@ def cmd_run(args):
         else:
             phi = random_valid_weak_coloring(g, args.c, args.k, args.seed)
         if args.algorithm == "weak-to-weak2c":
-            phi2, rounds, _ = weak_to_weak2c(g, phi, args.k, args.c)
+            phi2, rounds, _ = weak_to_weak2c(g, phi, args.k, args.c, detail=False)
             results = verify_weak_coloring(g, phi2, 2 * args.c, 1)
             payload = {"labels": NodeMap(phi2), "rounds": rounds}
             problem = f"weak-{2 * args.c}-coloring(distance 1)"
@@ -345,12 +351,13 @@ def _emit_table(rows, header, args):
 def cmd_bounds(args):
     if args.calculator == "recurrence":
         rows, p0 = [], parse_fraction(args.p0, "--p0")
-        for t in range(args.t + 1):
+        for t in range(args.t, -1, -1):   # the largest first: past the budget fails at once
             rb = recurrence_bound(args.c0, p0, t, args.delta)
             rows.append({"c0": args.c0, "t": t, "delta": args.delta,
                          "bound": float(rb.closed_form),
                          "log2_bound": _log2_fraction(rb.closed_form),
                          "agrees_with_iteration": rb.agree})
+        rows.reverse()
         return _emit_table(rows, ["c0", "t", "delta", "bound",
                                   "log2_bound", "agrees_with_iteration"], args)
     if args.calculator == "global":
@@ -503,7 +510,7 @@ def main(argv=None):
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (InvalidParameterError, InvalidInputError, InvalidLabelingError,
-            InvalidInstanceError, DomainError, FileNotFoundError,
+            InvalidInstanceError, DomainError, OSError,
             json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -55,12 +55,12 @@ class Assignment:
     def random(cls, g, b, seed, with_ids=False):
         """Uniform bits; with ``with_ids``, ids a random permutation of 1..n."""
         rng = random.Random(seed)
-        bits = {v: rng.randrange(1 << b) for v in range(g.n)}
+        bits = dict(zip(range(g.n), randbelow_array(rng, 1 << b, g.n).tolist()))
         ids = None
         if with_ids:
             vals = list(range(1, g.n + 1))
             rng.shuffle(vals)
-            ids = {v: vals[v] for v in range(g.n)}
+            ids = dict(zip(range(g.n), vals))
         return cls(b=b, bits=bits, ids=ids)
 
     def with_bits(self, bits):
@@ -319,42 +319,45 @@ def _counter_blocks(m, b, dtype):
         yield block
 
 
-def _randrange_chunks(seed, b):
-    """The stream of ``random.Random(seed).randrange(2**b)``, in chunks.
+def randbelow_array(rng, top, count, dtype=np.int64):
+    """``[rng.randrange(top) for _ in range(count)]`` as an array of
+    ``dtype``, leaving ``rng`` where that loop would.
 
-    For b <= 31, CPython's ``randrange(2**b)`` is the top b+1 bits of one
-    MT19937 output, drawn again while the highest of them is set; numpy's
-    MT19937, started from the same state, replays those outputs in bulk.
+    For ``0 < top <= 2**31``, CPython's ``randrange(top)`` is the top
+    ``k = top.bit_length()`` bits of one 32-bit MT19937 output, drawn again
+    while they reach ``top``.  numpy's MT19937, started from the state of
+    ``rng``, replays those outputs in bulk.  An output gives at most one
+    draw, so taking as many outputs as draws are missing never passes the
+    last draw, and ``rng`` takes the replay's final state.  Larger ``top``
+    draw one by one, as Python ints past int64.
     """
-    top = 1 << b
-    if b > 31:
-        draw = random.Random(seed).randrange
-        while True:
-            yield np.array([draw(top) for _ in range(1 << 12)], dtype=np.int64)
-    *key, pos = random.Random(seed).getstate()[1]
+    if top > 1 << 31:
+        return np.array([rng.randrange(top) for _ in range(count)],
+                        dtype=dtype if top < 1 << 63 else object)
+    version, (*key, pos), gauss = rng.getstate()
     mt = np.random.MT19937()
     mt.state = {"bit_generator": "MT19937",
                 "state": {"key": np.array(key, dtype=np.uint32), "pos": pos}}
-    while True:
-        draws = mt.random_raw(1 << 14) >> (31 - b)
-        yield draws[draws < top]
+    shift = 32 - top.bit_length()
+    out = np.empty(count, dtype=dtype)
+    filled = 0
+    while filled < count:     # at most 2**14 outputs at a time: small temporaries
+        raw = mt.random_raw(min(count - filled, 1 << 14)) >> shift
+        kept = raw[raw < top]
+        out[filled:filled + kept.size] = kept
+        filled += kept.size
+    state = mt.state["state"]
+    rng.setstate((version, (*state["key"].tolist(), int(state["pos"])), gauss))
+    return out
 
 
 def _sample_blocks(seed, samples, m, b, dtype):
-    """``samples`` rows of m consecutive draws of the randrange stream, as
-    ``(rows, m)`` blocks."""
-    chunks = _randrange_chunks(seed, b)
-    spare = np.empty(0, dtype=dtype)
+    """``samples`` rows of m consecutive draws of the stream of
+    ``random.Random(seed).randrange(2**b)``, as ``(rows, m)`` blocks."""
+    rng = random.Random(seed)
     for lo in range(0, samples, BLOCK_ROWS):
-        block = np.empty(min(BLOCK_ROWS, samples - lo) * m, dtype=dtype)
-        filled = 0
-        while filled < block.size:
-            if not spare.size:
-                spare = next(chunks)
-            take = min(spare.size, block.size - filled)
-            block[filled:filled + take] = spare[:take]
-            spare, filled = spare[take:], filled + take
-        yield block.reshape(-1, m)
+        rows = min(BLOCK_ROWS, samples - lo)
+        yield randbelow_array(rng, 1 << b, rows * m, dtype).reshape(rows, m)
 
 
 def local_failure_probability(g, alg, v, fail_predicate, mode="exact",

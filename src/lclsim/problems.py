@@ -59,14 +59,27 @@ def verify_weak_coloring(g, phi, c, k):
     """Per-node pass/fail for distance-k weak c-coloring: node v passes iff
     some node within distance k carries a different color.  The colors go
     through k whole-array min/max sweeps (:func:`other_color_level`)."""
-    colors = []
+    level = other_color_level(g, color_array(g, phi, c), k)
+    return dict(zip(range(g.n), (level > 0).tolist()))
+
+
+def color_array(g, phi, c):
+    """The colors ``phi[0..n-1]`` as a :func:`label_array`, each checked to
+    be an int in 1..c: one pass over their types and a range check of the
+    array, and the per-node check only to name the first bad node."""
+    try:
+        colors = [phi[v] for v in range(g.n)]
+    except LookupError:
+        colors = None
+    if colors is not None and set(map(type, colors)) <= {int}:
+        x = label_array(colors)
+        if not x.size or (x.min() >= 1 and x.max() <= c):
+            return x
     for v in range(g.n):
         col = phi[v]
         if not _is_color(col, c):
             raise InvalidLabelingError(f"color {col!r} of node {v} outside 1..{c}")
-        colors.append(col)
-    level = other_color_level(g, label_array(colors), k)
-    return dict(zip(range(g.n), (level > 0).tolist()))
+    return label_array(colors)
 
 
 def label_array(values):
@@ -155,15 +168,16 @@ def verify_weak_edge_coloring(g, psi, c, delta):
 def verify_pointer_labeling(g, labels, delta):
     """Per-node pass/fail of the pointer problem; the checker is total.
     Every node is judged at once by :func:`_pointer_verdicts`."""
-    ok, bad_port = _pointer_verdicts(g, labels, delta)
+    ok, bad_port = _pointer_verdicts(g, [labels.get(v) for v in range(g.n)], delta)
     if bad_port is not None:
         g.neighbor_by_port(*bad_port[1:])     # raises InvalidParameterError
     return dict(zip(range(g.n), ok.tolist()))
 
 
-def _pointer_verdicts(g, labels, delta, judged=None):
-    """The five pointer conditions at every node where ``judged`` holds
-    (all nodes if None), as whole-array gathers over ``g.csr()``:
+def _pointer_verdicts(g, labs, delta):
+    """The five pointer conditions at every node, from its label in the
+    list ``labs`` (None: unlabeled), as whole-array gathers over
+    ``g.csr()``:
 
     1. full-degree nodes point somewhere;
     2. low-degree nodes point nowhere and guess their own degree;
@@ -173,26 +187,23 @@ def _pointer_verdicts(g, labels, delta, judged=None):
        match the guess.
     An unlabeled node fails, and so does a pointer into one.
 
-    Returns the verdict array and, if some judged node would look up a
-    port its node lacks, ``(judged node, node, port)`` for the first such
-    judged node (else None); the per-node rule (``tests/oracles.py``)
+    Returns the verdict array and, if some labeled node would look up a
+    port its node lacks, ``(labeled node, node, port)`` for the first such
+    node (else None); the per-node rule (``tests/oracles.py``)
     raises there.  Degree guesses are compared as Python values: each
     distinct guess gets one code, and the degrees ``0..delta`` get their
     own value as code.
     """
     n = g.n
     deg = np.diff(g.csr()[0])
-    labs = [labels.get(v) for v in range(n)]
     has = np.array([lab is not None for lab in labs], bool)
     codes = {d: d for d in range(g.delta + 1)}
     guess = np.array([codes.setdefault(lab.d, len(codes)) if lab is not None else -1
                       for lab in labs], np.int64)
     ports = [None if lab is None else lab.port for lab in labs]
     to = _pointer_targets(g, ports)
-    if judged is None:
-        judged = np.ones(n, bool)
     pointing = to != -1
-    ok = judged & has & np.where(deg == delta, pointing, ~pointing & (guess == deg))
+    ok = has & np.where(deg == delta, pointing, ~pointing & (guess == deg))
     check = ok & pointing
     u = np.where(check & (to >= 0), to, 0)
     agree = check & (to >= 0) & (guess[u] == guess)     # -1: u unlabeled
@@ -246,18 +257,16 @@ def verify_homogeneous(g, labels, inner_verifier, delta):
     ``inner_verifier(g, v, inner_labels)`` sees the inner components of all
     nodes (possibly None where only pointers were emitted).
     """
-    pointer_part = {v: lab.pointer for v, lab in labels.items()
-                    if lab.pointer is not None}
-    inner_part = {v: lab.inner for v, lab in labels.items()}
     labs = [labels.get(v) for v in range(g.n)]
-    on_pointer = [lab is not None and lab.pointer is not None for lab in labs]
-    ok, bad_port = _pointer_verdicts(g, pointer_part, delta, np.array(on_pointer, bool))
+    pointers = [None if lab is None else lab.pointer for lab in labs]
+    inner_part = {v: lab.inner for v, lab in labels.items()}
+    ok, bad_port = _pointer_verdicts(g, pointers, delta)
     results = {}
-    for v, lab, pointer_ok in zip(range(g.n if bad_port is None else bad_port[0]),
-                                  labs, ok.tolist()):
+    for v, lab, pointer, pointer_ok in zip(range(g.n if bad_port is None else bad_port[0]),
+                                           labs, pointers, ok.tolist()):
         if lab is None:
             results[v] = False
-        elif lab.pointer is not None:
+        elif pointer is not None:
             results[v] = pointer_ok
         else:
             results[v] = bool(inner_verifier(g, v, inner_part))

@@ -11,14 +11,14 @@ indistinguishable through the ports (and orientation, when present).
 On trees a non-backtracking walk never revisits a node, so the unfolding has
 at most one walk node per graph node.
 
-The encoding is built when a view is extracted; its ball (``View.nodes``),
-which only payload access and ball-walking rules read, is found on first read.
+Extraction builds nothing per node.  A view's encoding, which table
+algorithms and equality read, and its ball (``View.nodes``), which only
+payload access and ball-walking rules read, are each built on first read
+and kept; a rule that reads neither, such as a constant, costs one small
+object per node.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import InvalidParameterError
 from .graph import bfs_distances, edge_key
@@ -47,34 +47,67 @@ def _unfold(g, node, prev, depth, assignment, inputs):
     return (pay, tuple(kids))
 
 
-@dataclass(frozen=True)
 class View:
     """Canonical radius-t neighborhood of a node or an edge.
 
     ``encoding`` is a nested hashable structure; encoding equality is the
     indistinguishability test.  The original graph and center are kept so
-    procedural rules can walk the ball, restricted to ``nodes`` (found on
-    first read: the union of the radius-t balls around the center's nodes).
+    procedural rules can walk the ball, restricted to ``nodes`` (the union
+    of the radius-t balls around the center's nodes).  ``encoding`` and
+    ``nodes`` are each computed on first read and kept, so a rule that
+    reads neither pays only for the object.
     """
 
-    graph: object
-    center: object            # node id, or (u, v) edge tuple
-    radius: int
-    center_kind: str          # "node" | "edge"
-    encoding: tuple
-    assignment: object = None
-    inputs: object = None
+    __slots__ = ("graph", "center", "radius", "center_kind", "assignment", "inputs",
+                 "_orientation", "_encoding", "_nodes")
+
+    def __init__(self, graph, center, radius, center_kind, assignment=None,
+                 inputs=None, orientation=None):
+        self.graph = graph
+        self.center = center            # node id, or (u, v) edge tuple
+        self.radius = radius
+        self.center_kind = center_kind  # "node" | "edge"
+        self.assignment = assignment
+        self.inputs = inputs
+        self._orientation = orientation  # (dim, sign) of an edge center at its first node
+        self._encoding = self._nodes = None
+
+    @property
+    def encoding(self):
+        if self._encoding is not None:
+            return self._encoding
+        g, t, a, inputs = self.graph, self.radius, self.assignment, self.inputs
+        if self.center_kind == "node":
+            enc = ("N", _unfold(g, self.center, None, t, a, inputs))
+        else:
+            u, v = self.center
+            enc_u = _unfold(g, u, None, t, a, inputs)
+            enc_v = _unfold(g, v, None, t, a, inputs)
+            if self._orientation is not None:
+                dim, sign = self._orientation
+                first, second = (enc_u, enc_v) if sign > 0 else (enc_v, enc_u)
+                head = dim
+            else:
+                first, second = sorted((enc_u, enc_v), key=repr)
+                head = 0
+            enc = ("E", head, first, second)
+        self._encoding = enc
+        return enc
+
+    @property
+    def nodes(self):
+        if self._nodes is not None:
+            return self._nodes
+        ends = self.center if self.center_kind == "edge" else (self.center,)
+        self._nodes = frozenset().union(
+            *(bfs_distances(self.graph, u, self.radius) for u in ends))
+        return self._nodes
 
     def __hash__(self):
         return hash(self.encoding)
 
     def __eq__(self, other):
         return isinstance(other, View) and self.encoding == other.encoding
-
-    @cached_property
-    def nodes(self):
-        ends = self.center if self.center_kind == "edge" else (self.center,)
-        return frozenset().union(*(bfs_distances(self.graph, u, self.radius) for u in ends))
 
     # -- payload access (restricted to the ball) -------------------------
 
@@ -112,23 +145,12 @@ def extract_view(g, center, t, assignment=None, inputs=None):
     encodings are ordered by orientation (the endpoint holding the ``+``
     side first) or, on unoriented graphs, by their ``repr``: a total order
     that does not depend on which endpoint is named first, also where
-    payloads mix ``None`` with other values.
+    payloads mix ``None`` with other values.  The radius and an edge's
+    endpoints are checked here; the encoding is built on first read.
     """
     if t < 0:
         raise InvalidParameterError("radius must be >= 0")
     if isinstance(center, tuple):
-        u, v = center
-        enc_u = _unfold(g, u, None, t, assignment, inputs)
-        enc_v = _unfold(g, v, None, t, assignment, inputs)
-        orient = g.orientation_at(u, v)
-        if orient is not None:
-            dim, sign = orient
-            first, second = (enc_u, enc_v) if sign > 0 else (enc_v, enc_u)
-            head = dim
-        else:
-            first, second = sorted((enc_u, enc_v), key=repr)
-            head = 0
-        return View(g, edge_key(u, v), t, "edge", ("E", head, first, second),
-                    assignment, inputs)
-    enc = _unfold(g, center, None, t, assignment, inputs)
-    return View(g, center, t, "node", ("N", enc), assignment, inputs)
+        key = edge_key(*center)
+        return View(g, key, t, "edge", assignment, inputs, g.orientation_at(*key))
+    return View(g, center, t, "node", assignment, inputs)

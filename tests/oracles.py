@@ -5,31 +5,37 @@ Each definition is the one ``lclsim`` used to carry, body unchanged: the
 per-node rules the whole-array LOCAL rounds replaced (``pointer_happy``,
 ``_closest_other_color``, the weak-coloring oracles), the dict BFS behind the
 leaf-free check, the string-keyed copy ``run`` wrote its label maps through,
-and small graph, bound and enumeration helpers.  The per-point speedup sweep
+the eager view encoding, the per-draw seeded draws, the weak-2 pipeline's
+dict handoff between stages, and small graph, bound and enumeration helpers.  The per-point speedup sweep
 is the one exception: its loop is unchanged, but it calls the construction's
 kernels on masks it thresholds itself.  Tests import them as they import
 ``conftest``.
 """
 
+import random
 from dataclasses import dataclass
 
 import mpmath
 import numpy as np
 
+from lclsim.algorithms import (PipelineResult, build_pseudoforest, cole_vishkin_reduce,
+                               mis_to_weak2, weak_to_weak2c)
 from lclsim.bounds import PRECISION_BITS
-from lclsim.cli import NodeMap
-from lclsim.engine import ENUM_BUDGET_BITS, require_interior
+from lclsim.cli import REPAIR_PASSES, NodeMap
+from lclsim.engine import ENUM_BUDGET_BITS, Assignment, require_interior
 from lclsim.errors import (BudgetExceededError, InvalidInputError,
                            InvalidParameterError)
-from lclsim.graph import (PortedGraph, ball_irregularities, bfs_distances,
+from lclsim.graph import (PortedGraph, ball_irregularities, bfs_distances, bfs_levels,
                           dumps_canonical, edge_key)
 from lclsim.oriented import KERNEL_BUDGET_BITS
-from lclsim.problems import HomogeneousLabel, PointerLabel, _sees_other_color
+from lclsim.problems import (HomogeneousLabel, PointerLabel, _sees_other_color,
+                             verify_weak_coloring)
 from lclsim.speedup import (GridPoint, SpeedupReport, _kernel_work,
                             _threshold_mask, default_f_grid, edge_local_failure,
                             edge_to_node_speedup, inequality_rhs,
                             node_local_failure, node_to_edge_speedup,
                             optimizing_f)
+from lclsim.views import _payload_of
 
 # ---------------------------------------------------------------------------
 # algorithms
@@ -83,6 +89,98 @@ def pointer_terminal_degrees(g, start):
             else:
                 stack.append(u)
     return out
+
+
+def weak_family_to_weak2_dict_stages(g, phi, k, c):
+    """The weak-2 pipeline with each stage handing the next a dict."""
+    phi2, r_recolor, _ = weak_to_weak2c(g, phi, k, c)
+    pf = build_pseudoforest(g, phi2)
+    psi, r_cv = cole_vishkin_reduce(pf, phi2, 2 * c)
+    labels, r_mis = mis_to_weak2(pf, psi)
+    stage_rounds = {"recolor": r_recolor, "pseudoforest": 1,
+                    "color-reduction": r_cv, "mis": r_mis}
+    return PipelineResult(labels=labels,
+                          rounds=sum(stage_rounds.values()),
+                          stage_rounds=stage_rounds, recolored=phi2,
+                          pseudoforest_ports=pf.out_port, three_coloring=psi)
+
+
+# ---------------------------------------------------------------------------
+# views and engine
+# ---------------------------------------------------------------------------
+
+
+def _unfold(g, node, prev, depth, assignment, inputs):
+    pay = (g.degree(node),) + _payload_of(node, assignment, inputs)
+    if depth == 0:
+        return (pay, ())
+    kids = []
+    for u, mp, up, d, s in g.half_edges(node):
+        if u == prev:
+            continue
+        kids.append(((mp, up, d, s), _unfold(g, u, node, depth - 1, assignment, inputs)))
+    kids.sort(key=lambda kv: kv[0])
+    return (pay, tuple(kids))
+
+
+def eager_view_encoding(g, center, t, assignment=None, inputs=None):
+    """The encoding ``extract_view`` built when it extracted a view."""
+    if isinstance(center, tuple):
+        u, v = center
+        enc_u = _unfold(g, u, None, t, assignment, inputs)
+        enc_v = _unfold(g, v, None, t, assignment, inputs)
+        orient = g.orientation_at(u, v)
+        if orient is not None:
+            dim, sign = orient
+            first, second = (enc_u, enc_v) if sign > 0 else (enc_v, enc_u)
+            head = dim
+        else:
+            first, second = sorted((enc_u, enc_v), key=repr)
+            head = 0
+        return ("E", head, first, second)
+    return ("N", _unfold(g, center, None, t, assignment, inputs))
+
+
+def randrange_draws(rng, top, count):
+    """``count`` draws of ``rng.randrange(top)``, one call each."""
+    return [rng.randrange(top) for _ in range(count)]
+
+
+def assignment_random(g, b, seed, with_ids=False):
+    """``Assignment.random`` drawing one bit string per call."""
+    rng = random.Random(seed)
+    bits = {v: rng.randrange(1 << b) for v in range(g.n)}
+    ids = None
+    if with_ids:
+        vals = list(range(1, g.n + 1))
+        rng.shuffle(vals)
+        ids = {v: vals[v] for v in range(g.n)}
+    return Assignment(b=b, bits=bits, ids=ids)
+
+
+def random_valid_weak_coloring(g, c, k, seed, passes=REPAIR_PASSES):
+    """``cli.random_valid_weak_coloring`` drawing one color per call, with
+    ``passes`` repair sweeps (its argument checks left out)."""
+    rng = random.Random(seed)
+    phi = {v: rng.randrange(1, c + 1) for v in range(g.n)}
+    for _ in range(passes):
+        bad = [v for v, ok in verify_weak_coloring(g, phi, c, k).items() if not ok]
+        if not bad:
+            return phi
+        for v in bad:
+            if _sees_other_color(g, v, phi, k):
+                continue
+            u = g.adjacent(v)[0]
+            phi[u] = phi[v] % c + 1
+    depth = bfs_levels(g, 0, None).tolist()
+    odd = [col for col in range(1, c + 1) if col % 2 == 1]
+    even = [col for col in range(1, c + 1) if col % 2 == 0]
+    for block in (rng.randrange(1, k + 1), 1):
+        phi = {v: rng.choice(odd if (depth[v] // block) % 2 == 0 else even)
+               for v in range(g.n)}
+        if all(verify_weak_coloring(g, phi, c, k).values()):
+            return phi
+    raise InvalidInputError("could not build a valid weak coloring")
 
 
 # ---------------------------------------------------------------------------

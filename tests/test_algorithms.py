@@ -15,7 +15,8 @@ from lclsim.errors import InvalidInputError, InvalidParameterError, PSolverViola
 from lclsim.graph import (PortedGraph, bfs_distances,
                           gen_balanced_tree, gen_cycle, gen_regular_tree,
                           gen_symlower_pair, plant_irregularities)
-from lclsim.problems import verify_pointer_labeling, verify_weak_coloring
+from lclsim.problems import (HomogeneousLabel, verify_homogeneous, verify_pointer_labeling,
+                             verify_weak_coloring)
 from oracles import closest_irregularity, pointer_terminal_degrees
 
 
@@ -359,3 +360,25 @@ def test_negative_radius_rejected():
         homogeneous_dispatch(g, solver, lambda gg, v, inner: inner.get(v) == 1, -1, a)
     labels = solve_pointer_labeling_local(g, 0, a)       # r = 0 stays valid
     assert 0 not in labels and all(g.degree(v) == 1 for v in labels)
+
+
+def test_homogeneous_dispatch_unhashable_inner_labels():
+    """Inner labels that are lists: labels are shared by the identity of
+    the inner label, so no inner label is hashed."""
+    g = plant_irregularities(gen_balanced_tree(4, 4), [("cycle", 2)])
+    a = Assignment.random(g, 1, seed=6, with_ids=True)
+    parity = [[0], [1]]
+    solver = LocalAlgorithm(rounds=0, kind="node",
+                            rule=lambda view: parity[view.center_node % 2])
+
+    def inner_ok(gg, v, inner):
+        return inner.get(v) == [v % 2]
+
+    labels = homogeneous_dispatch(g, solver, inner_ok, 1, a)
+    pointers = solve_pointer_labeling_local(g, 1, a)
+    assert labels == {v: HomogeneousLabel(inner=[v % 2], pointer=pointers.get(v))
+                      for v in range(g.n)}
+    assert all(verify_homogeneous(g, labels, inner_ok, 4).values())
+    # one label object per (inner label, pointer label) pair
+    pairs = {(id(lab.inner), lab.pointer) for lab in labels.values()}
+    assert len({id(lab) for lab in labels.values()}) == len(pairs)

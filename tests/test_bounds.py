@@ -6,7 +6,7 @@ import pytest
 from lclsim.bounds import (global_success_upper_bound,
                            id_collision_bound, iterated_log2, log_star,
                            recurrence_bound, zero_round_optimum)
-from lclsim.errors import DomainError, InvalidParameterError
+from lclsim.errors import BudgetExceededError, DomainError, InvalidParameterError
 from oracles import zero_round_optimum_grid
 
 
@@ -115,3 +115,16 @@ def test_zero_round_optimum_rejects_delta_below_one():
     for delta in (0, -1):
         with pytest.raises(InvalidParameterError):
             zero_round_optimum(2, delta)
+
+
+def test_recurrence_past_the_budget_raises_before_computing():
+    """At delta 4 the README's c0=2, p0=1/16 fits up to t=4; t=5 would be
+    about 2^28.5 bits and is refused at once."""
+    with pytest.raises(BudgetExceededError, match="t=5 recurrence bound"):
+        recurrence_bound(2, Fraction(1, 16), 5, 4)
+    with pytest.raises(BudgetExceededError):
+        recurrence_bound(2, Fraction(1, 16), 10**9, 4)
+    with pytest.raises(BudgetExceededError):
+        recurrence_bound(2, Fraction(1, 64), 4, 6)
+    assert recurrence_bound(2, Fraction(0), 50, 4).closed_form == 0
+    assert recurrence_bound(16, Fraction(1, 16**4), 2, 4).agree

@@ -377,3 +377,37 @@ def test_boolean_color_exits_config(tmp_path, capsys):
                     "--out", str(tmp_path / "o.json")]) == 2
     assert not (tmp_path / "o.json").exists()
     assert "gives node 1 the color true" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--algorithm", "solve-pointers", "--graph", "{dir}"],
+    ["run", "--algorithm", "weak-family-to-weak2", "--graph", "{tree}", "--coloring", "{dir}"],
+    ["--config", "{dir}"],
+])
+def test_unreadable_paths_exit_config(tmp_path, capsys, argv):
+    """A directory where a file is read is an OSError other than
+    FileNotFoundError: exit 2, no traceback, no output file."""
+    tree = tmp_path / "tree.json"
+    assert run_cli(["gen", "regular-tree", "--delta", "4", "--radius", "2",
+                    "--out", str(tree)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "o.json"
+    argv = [a.format(dir=tmp_path, tree=tree) for a in argv]
+    if argv[0] == "run":
+        argv += ["--out", str(out)]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "Is a directory" in err
+    assert not out.exists()
+
+
+def test_recurrence_past_the_budget_exits_at_once(tmp_path, capsys):
+    start = time.perf_counter()
+    out = tmp_path / "r.json"
+    assert run_cli(["bounds", "recurrence", "--t", "5", "--out", str(out)]) == 3
+    assert time.perf_counter() - start < 5
+    assert "past the budget" in capsys.readouterr().err
+    assert not out.exists()
+    assert run_cli(["bounds", "recurrence", "--t", "1", "--format", "csv",
+                    "--out", str(out)]) == 0
+    assert [line.split(",")[1] for line in out.read_text().splitlines()] == ["t", "0", "1"]

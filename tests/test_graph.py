@@ -1,11 +1,13 @@
+import json
 import random
 
+import numpy as np
 import pytest
 
 from conftest import (brute_canonical_cycle, pruned_oriented_tree, random_graph,
                       random_tree, relabeled)
 from lclsim.errors import InvalidInstanceError, InvalidParameterError
-from lclsim.graph import (PortedGraph, bfs_distances, cycle_detour,
+from lclsim.graph import (PortedGraph, _int_rows, bfs_distances, cycle_detour,
                           gen_balanced_tree, gen_cycle, gen_regular_tree,
                           gen_symlower_pair, independent_execution_set,
                           plant_irregularities)
@@ -272,3 +274,53 @@ def test_every_generator_output_loads(tmp_path):
         loaded = PortedGraph.load(path)
         assert loaded.n == g.n and loaded.oriented == g.oriented, name
         assert [x.tolist() for x in loaded.csr()] == [x.tolist() for x in g.csr()], name
+
+
+# ---------------------------------------------------------------------------
+# loading edge rows without nested lists
+# ---------------------------------------------------------------------------
+
+
+def write_graph_file(path, n, edges, delta=2):
+    path.write_text(json.dumps({"format": "ported-graph", "version": 1, "n": n,
+                                "delta": delta, "edges": edges, "meta": {}}))
+    return path
+
+
+GOOD_ROWS = [[0, 1, 0, 0], [1, 2, 1, 0], [2, 3, 1, 0]]
+
+
+@pytest.mark.parametrize("edges", [
+    [[0, 1, 0, 0], [1, 2, 1, 0, 0, 0], [2, 3, 1, 0]],        # ragged rows
+    [[0, 1, 0], [1, 2, 1], [2, 3, 1]],                        # 3 columns
+    [[0, 1, 0, 0, 0], [1, 2, 1, 0, 0], [2, 3, 1, 0, 0]],      # 5 columns
+    [[0, 1, 0, 0], [1, 2, 1.5, 0], [2, 3, 1, 0]],             # a fraction
+    [[0, 1, 0, 0], [1, 2, 1.0, 0], [2, 3, 1, 0]],             # an integral float
+    [[0, 1, 0, 0], [1, 2, "1", 0], [2, 3, 1, 0]],             # a string
+    [[0, 1, 0, 0], [1, 2, None, 0], [2, 3, 1, 0]],            # null
+    [[0, 1, 0, 0], [1, 2, [1], 0], [2, 3, 1, 0]],             # a nested list
+    [[0, 1, 0, 0], [1, 2, 2**70, 0], [2, 3, 1, 0]],           # past int64
+    [[False, True, False, False]],                            # booleans only
+    [[0, 1, 0, 0], 5],                                        # a row that is no list
+])
+def test_load_rejects_what_the_nested_conversion_rejects(tmp_path, edges):
+    path = write_graph_file(tmp_path / "g.json", 4, edges)
+    with pytest.raises(InvalidInstanceError, match="edges must be integer rows"):
+        PortedGraph.load(path)
+    with pytest.raises(InvalidInstanceError, match="edges must be integer rows"):
+        PortedGraph.from_edges(4, edges, delta=2)
+
+
+@pytest.mark.parametrize("edges", [GOOD_ROWS, [[0, 1, 0, 0]], [], [[0, 1, True, 0]]])
+def test_load_reads_rows_as_the_nested_conversion(tmp_path, edges):
+    n = 1 + max((max(row[:2]) for row in edges), default=0)
+    path = write_graph_file(tmp_path / "g.json", n, edges)
+    loaded = PortedGraph.load(path)
+    want = PortedGraph.from_edges(n, edges, delta=2)
+    assert [x.tolist() for x in loaded.csr()] == [x.tolist() for x in want.csr()]
+
+
+def test_int_rows_reads_integer_rows_flat():
+    rows = _int_rows(GOOD_ROWS)
+    assert rows.dtype == np.int64 and rows.tolist() == GOOD_ROWS
+    assert _int_rows([[0, 1, 0, 0], [1, 2, 1.0, 0]]) is None

@@ -25,7 +25,7 @@ from lclsim.graph import PortedGraph, gen_balanced_tree, gen_cycle, gen_regular_
 from lclsim.problems import (HomogeneousLabel, PointerLabel, _sees_other_color,
                              verify_homogeneous, verify_pointer_labeling,
                              verify_weak_coloring)
-from oracles import _closest_other_color, pointer_happy
+from oracles import _closest_other_color, pointer_happy, weak_family_to_weak2_dict_stages
 
 # ---------------------------------------------------------------------------
 # oracles: the per-node versions
@@ -493,3 +493,22 @@ def test_verify_homogeneous_inner_error_before_pointer_error():
               for v in range(6)}
     assert outcome(verify_homogeneous, g, labels, inner_raises, 2) == \
         outcome(oracle_verify_homogeneous, g, labels, inner_raises, 2)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_pipeline_matches_dict_stage_handoff(seed):
+    """The pipeline's array handoff gives the result of each stage handing
+    the next a dict; ``detail=False`` changes only the detail."""
+    for g, phi, k, c in colorings(seed):
+        assert weak_family_to_weak2(g, phi, k, c) == \
+            weak_family_to_weak2_dict_stages(g, phi, k, c)
+        phi2, rounds, detail = weak_to_weak2c(g, phi, k, c)
+        assert weak_to_weak2c(g, phi, k, c, detail=False) == (phi2, rounds, None)
+
+
+@pytest.mark.parametrize("top", [2**61 - 1, 2**61, 2**62 + 2, 2**63 - 1, 2**70])
+def test_pipeline_handoff_with_wide_palettes(top):
+    g = random_tree(200, 4, top % 1000)
+    phi = {v: top - 4 + col for v, col in random_valid_weak_coloring(g, 4, 2, seed=3).items()}
+    assert weak_family_to_weak2(g, phi, 2, top) == \
+        weak_family_to_weak2_dict_stages(g, phi, 2, top)

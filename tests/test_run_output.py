@@ -123,6 +123,18 @@ def test_node_maps_write_as_the_string_keyed_copy(capsys, seed):
     assert capsys.readouterr().out == str_keyed_document(doc)
 
 
+def test_node_maps_write_unhashable_labels(capsys):
+    """Labels are encoded once per object, not per value, so lists (and
+    homogeneous labels holding them) write too."""
+    inner = [[0], [1, 2]]
+    pointer = PointerLabel(1, 0)
+    doc = {"lists": NodeMap({v: inner[v % 2] for v in range(30)}),
+           "homogeneous": NodeMap({v: HomogeneousLabel(inner[v % 2], (None, pointer)[v % 3 == 0])
+                                   for v in range(30)})}
+    write_json("-", doc)
+    assert capsys.readouterr().out == str_keyed_document(doc)
+
+
 ALGORITHMS = ["weak-family-to-weak2", "weak-to-weak2c", "solve-pointers",
               "solve-pointers-local", "homogeneous-constant"]
 

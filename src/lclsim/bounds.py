@@ -133,7 +133,8 @@ def recurrence_bound(c0, p0, t, delta=4):
     Computed twice in exact rational arithmetic: directly, and by raising
     to the (delta+1)-th power 2t+1 times; both must agree bit for bit.
     A result estimated past ``RECURRENCE_BUDGET_BITS`` raises
-    :class:`BudgetExceededError` before any power is taken.
+    :class:`BudgetExceededError` before any power is taken; a zero base
+    gives the exact 0 at once, with no power taken either.
     """
     if c0 < 1 or t < 0:
         raise InvalidParameterError("need c0 >= 1 and t >= 0")
@@ -142,6 +143,9 @@ def recurrence_bound(c0, p0, t, delta=4):
         raise InvalidParameterError("p0 must be a probability")
     base = p0 / ((delta + 1) * c0)
     steps = 2 * t + 1
+    if base == 0:   # 0 to any positive power
+        return RecurrenceBound(c0=c0, p0=p0, t=t, delta=delta,
+                               closed_form=base, iterated=base, steps=steps)
     if 0 < base < 1:   # the result's denominator has about bits * (delta+1)^steps bits
         log2_bits = math.log2(base.denominator.bit_length()) + steps * math.log2(delta + 1)
         if log2_bits > math.log2(RECURRENCE_BUDGET_BITS):

@@ -24,6 +24,8 @@ import sys
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import __version__
 from .algorithms import (homogeneous_dispatch, solve_pointer_labeling,
                          solve_pointer_labeling_local, weak_family_to_weak2,
@@ -34,8 +36,9 @@ from .engine import Assignment, LocalAlgorithm, randbelow_array
 from .errors import (BudgetExceededError, DomainError, InvalidInputError,
                      InvalidInstanceError, InvalidLabelingError,
                      InvalidParameterError, PSolverViolation)
-from .graph import (PortedGraph, bfs_levels, dumps_canonical, gen_cycle,
-                    gen_regular_tree, gen_symlower_pair)
+from .graph import (POW10, PortedGraph, bfs_levels, decimal_digits, digit_columns,
+                    dumps_canonical, gen_cycle, gen_regular_tree, gen_symlower_pair,
+                    right_aligned)
 from .problems import (verify_homogeneous, verify_pointer_labeling,
                        verify_weak_coloring, verifier_report)
 from .speedup import (SpeedupConfig, constant_edge_algorithm,
@@ -68,25 +71,61 @@ def provenance(args_dict):
 
 class NodeMap:
     """A ``{node: label}`` map that ``write_json`` writes as the JSON object
-    ``{str(node): label}``, straight from the algorithm's dict."""
+    ``{str(node): label}``, straight from the algorithm's dict (its keys
+    are node ids: non-negative ints below 2**31)."""
 
     def __init__(self, labels):
         self.labels = labels
 
     def dumps(self):
-        # each label object is encoded once, keyed by identity: shared labels
-        # are not hashed per node, unhashable ones work, and the map keeps
-        # every label alive; '"' sorts below every digit, so sorted
-        # '"node":label' entries are in the key order sort_keys=True gives
-        texts = {}
+        """The map's JSON text, assembled as one byte array.
 
-        def text(label):
-            out = texts.get(id(label))
-            if out is None:
-                out = texts[id(label)] = _dumps(asdict(label) if is_dataclass(label) else label)
-            return out
-        return "{" + ",".join(sorted([f'"{v}":{text(label)}'
-                                      for v, label in self.labels.items()])) + "}"
+        The only pass over the labels codes each object by identity, so a
+        shared label is encoded once, unhashable labels work, and ``1``,
+        ``True`` and ``1.0`` (equal, yet written apart) stay apart.  Keys go
+        in the order ``sort_keys=True`` gives their decimal strings: by the
+        key left-aligned to the widest key's digit count, then by digit
+        count.  Each entry is its label's fixed-width template row with the
+        key's digits right-aligned in it, and one boolean mask keeps the
+        bytes of the text.
+        """
+        n = len(self.labels)
+        keys = np.fromiter(self.labels, np.int64, n)
+        if n and not 0 <= keys.min() <= keys.max() < 2**31:
+            raise ValueError("node map keys must be node ids in [0, 2**31)")
+        nd = decimal_digits(keys)
+        width = int(nd.max(initial=1))
+        order = np.lexsort((nd, keys * POW10[width - nd]))
+        code, labels = _identity_codes(self.labels.values(), n)
+        # one template row per label: '"', the key's digit slots, '":', the text, ','
+        texts = [b'"%s":%s,' % (b"0" * width, _dumps(asdict(x) if is_dataclass(x) else x).encode())
+                 for x in labels]
+        size = np.fromiter(map(len, texts), np.intp, len(texts))
+        fill = np.arange(size.max(initial=width + 4)) < size[:, None]
+        template = np.zeros(fill.shape, np.uint8)
+        template[fill] = np.frombuffer(b"".join(texts), np.uint8)
+
+        code = code[order]
+        row, keep = np.take(template, code, axis=0), np.take(fill, code, axis=0)
+        row[:, 1:width + 1] = digit_columns(keys[order], width)
+        keep[:, 1:width + 1] = right_aligned(nd[order], width)
+        text = row[keep][:-1]
+        del row, keep                     # before the text is copied out
+        return f"{{{str(text, 'ascii')}}}"
+
+
+def _identity_codes(values, n):
+    """A code for each of the ``n`` values, numbering the distinct objects
+    among them (by identity), and those objects in code order."""
+    ids = np.fromiter(map(id, values), np.int64, n)
+    by_id = np.argsort(ids)
+    ids = ids[by_id]
+    first = np.ones(n, bool)
+    np.not_equal(ids[1:], ids[:-1], out=first[1:])
+    code = np.empty(n, np.intp)
+    code[by_id] = np.cumsum(first) - 1
+    objects = list(values)
+    return code, [objects[i] for i in by_id[first].tolist()]
 
 
 def _holds_node_map(obj):
@@ -143,7 +182,7 @@ def cmd_gen(args):
     g = (gen_regular_tree(args.delta, args.radius) if args.family == "regular-tree"
          else gen_cycle(args.n))
     if args.out == "-":
-        write_json("-", g.to_json_obj())
+        _write("-", g.dumps())
     else:
         g.save(args.out)
     print(f"wrote {args.out}: n={g.n} delta={g.delta} "

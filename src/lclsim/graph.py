@@ -260,31 +260,50 @@ class PortedGraph:
 
     # -- serialization --------------------------------------------------
 
-    def to_json_obj(self):
+    def _edge_rows(self):
+        """The file's edge rows: one per edge, lexsorted."""
         rows = np.stack(self.edge_columns(), axis=1)
+        return rows[np.lexsort(rows.T[::-1])]
+
+    def to_json_obj(self):
         return {
             "format": FORMAT_NAME,
             "version": FORMAT_VERSION,
             "n": self.n,
             "delta": self.delta,
-            "edges": rows[np.lexsort(rows.T[::-1])].tolist(),
+            "edges": self._edge_rows().tolist(),
             "meta": self.meta,
         }
 
+    def dumps(self):
+        """The graph file's text, ``dumps_canonical(self.to_json_obj())``,
+        with the edge rows rendered straight from their array."""
+        doc = dumps_canonical({"delta": self.delta, "edges": 0, "format": FORMAT_NAME,
+                               "meta": self.meta, "n": self.n, "version": FORMAT_VERSION})
+        head, tail = doc.split('"edges":0', 1)   # only the number delta comes before it
+        return f'{head}"edges":{render_int_rows(self._edge_rows())}{tail}'
+
     def save(self, path):
         with open(path, "w") as fh:
-            fh.write(dumps_canonical(self.to_json_obj()))
+            fh.write(self.dumps())
 
     @classmethod
     def load(cls, path):
+        """Read a graph file.  Compact edge rows (as ``save`` writes them)
+        are decoded straight into an int64 array; any other text goes
+        through ``json.loads``, which also names the fault of a malformed
+        file."""
         with open(path) as fh:
-            obj = json.load(fh)
+            text = fh.read()
+        obj = _read_compact(text)
+        if obj is None:
+            obj = json.loads(text)
         if not isinstance(obj, dict):
             raise InvalidInstanceError(f"{path}: not a JSON object")
         if obj.get("format") != FORMAT_NAME or obj.get("version") != FORMAT_VERSION:
             raise InvalidParameterError(f"not a {FORMAT_NAME} v{FORMAT_VERSION} file")
         edges = obj["edges"]
-        rows = _int_rows(edges)
+        rows = edges if isinstance(edges, np.ndarray) else _int_rows(edges)
         return cls.from_edges(obj["n"], edges if rows is None else rows,
                               delta=obj["delta"], meta=obj.get("meta"))
 
@@ -373,6 +392,172 @@ def frontier_slots(indptr, nodes):
     lo = indptr[nodes]
     cnt = indptr[nodes + 1] - lo
     return np.repeat(lo - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
+
+
+# ---------------------------------------------------------------------------
+# Decimal text as whole arrays
+# ---------------------------------------------------------------------------
+
+POW10 = 10 ** np.arange(19, dtype=np.int64)
+MAX_ROW_DIGITS = 18        # digits of a compact-row value; every such value fits int64
+
+_JSON = json.JSONDecoder()
+_SPACE = json.decoder.WHITESPACE.match
+_ROW_BRACKETS = np.array([91, 93], np.uint8)   # each row's '[' and ']'
+
+
+def decimal_digits(a):
+    """The number of decimal digits of each non-negative int64 in ``a``."""
+    return np.searchsorted(POW10[1:], a, side="right") + 1
+
+
+def digit_columns(a, width):
+    """The ``width`` low decimal digits of each non-negative integer in
+    ``a`` as ASCII bytes, most significant first, along a new last axis
+    (computed one contiguous digit plane at a time)."""
+    out = np.empty((width,) + a.shape, np.uint8)
+    for k in range(width - 1, -1, -1):
+        q = a // 10
+        out[k] = a - q * 10
+        a = q
+    out += 48
+    return np.moveaxis(out, 0, -1)
+
+
+def right_aligned(nd, width):
+    """Masks of the last ``nd`` of ``width`` slots, along a new last axis."""
+    return np.arange(width) >= width - nd[..., None]
+
+
+def render_int_rows(rows):
+    """``json.dumps(rows.tolist(), separators=(",", ":"))`` of an integer
+    ``(m, w)`` array, made without a Python object per value.
+
+    Each row becomes a fixed-width byte row: per column a lead byte ('['
+    or ','), a sign and the column's widest digit count of slots, the
+    digits right-aligned; then "],".  One boolean mask keeps the bytes of
+    the text, in row-major order.
+    """
+    mag = np.abs(rows)
+    nd = decimal_digits(mag)
+    widths = nd.max(axis=0, initial=1).tolist()
+    field = np.empty((len(rows), sum(widths) + 2 * len(widths) + 2), np.uint8)
+    keep = np.ones(field.shape, bool)
+    at = 0
+    for j, width in enumerate(widths):
+        field[:, at:at + 2] = np.frombuffer(b",-" if j else b"[-", np.uint8)
+        keep[:, at + 1] = rows[:, j] < 0
+        field[:, at + 2:at + 2 + width] = digit_columns(mag[:, j], width)
+        keep[:, at + 2:at + 2 + width] = right_aligned(nd[:, j], width)
+        at += 2 + width
+    field[:, at:] = np.frombuffer(b"],", np.uint8)
+    return f"[{str(field[keep][:-1], 'ascii')}]"
+
+
+def _read_compact(text):
+    """The graph document in ``text`` as a dict whose "edges" is an int64
+    array, when its rows are compact (see ``_compact_rows``); None for any
+    other text, which ``json.loads`` then reads (and names the fault of).
+
+    The top-level object is walked as ``json`` walks it: keys by
+    ``scanstring``, every other value by the decoder's ``scan_once``, a
+    repeated key keeping its last value.
+    """
+    try:
+        i = _SPACE(text, 0).end()
+        if text[i:i + 1] != "{":
+            return None
+        i = _SPACE(text, i + 1).end()
+        obj = {}
+        while text[i:i + 1] == '"':
+            key, i = json.decoder.scanstring(text, i + 1)
+            i = _SPACE(text, i).end()
+            if text[i:i + 1] != ":":
+                return None
+            i = _SPACE(text, i + 1).end()
+            value = _compact_rows(text, i) if key == "edges" else _JSON.scan_once(text, i)
+            if value is None:
+                return None
+            obj[key], i = value
+            i = _SPACE(text, i).end()
+            if text[i:i + 1] == "}":
+                return obj if _SPACE(text, i + 1).end() == len(text) else None
+            if text[i:i + 1] != ",":
+                return None
+            i = _SPACE(text, i + 1).end()
+        return None
+    except (ValueError, StopIteration):   # a malformed value
+        return None
+
+
+def _compact_rows(text, start):
+    """``(rows, end)`` for the JSON value at ``text[start:]`` when it is
+    compact integer rows of one width, 4 or 6: ``[[n,...],[n,...]]`` with no
+    whitespace, each n matching ``-?(0|[1-9][0-9]*)`` with at most
+    ``MAX_ROW_DIGITS`` digits; ``rows`` is their int64 ``(m, w)`` array.
+    None for any other value.
+
+    ``_row_bytes`` checks the bytes; then each row's brackets must sit
+    where its w-1 commas put them, and each number gets its sign and digit
+    count.  Every number's last digit is gathered at once, then each column
+    adds the digits of its wider numbers.  The offsets are int32, so no
+    temporary outgrows the value's bytes or the int64 rows.
+    """
+    stop = text.find("]]", start) + 2
+    w = text.count(",", start, text.find("]", start)) + 1
+    if (stop <= start or stop - start >= 2**31   # offsets fit int32
+            or not text.startswith("[[", start) or w not in (4, 6)):
+        return None
+    b = np.frombuffer(text[start:stop].encode(), np.uint8)
+    seps = _row_bytes(b, w)
+    if seps is None:
+        return None
+    # after the outer '[' each row is '[' n (',' n)^(w-1) ']' and a ',' (the
+    # last row: the outer ']'); the bracket counts leave only commas elsewhere
+    at = seps[1:].reshape(-1, w + 2)
+    before, end = at[:, :w], at[:, 1:w + 1]   # the separators around each number
+    neg = b[before + 1] == 45
+    size = end - before - 1
+    size -= neg
+    widest = size.max(axis=0, initial=1).tolist()
+    if (not (b[at[:, ::w]] == _ROW_BRACKETS).all() or size.min(initial=1) < 1
+            or max(widest) > MAX_ROW_DIGITS
+            or int(size.sum()) + np.count_nonzero(neg) != b.size - seps.size):  # no stray digit
+        return None
+    digit = b - 48
+    digit *= digit < 10                   # 0 at '-' and at the separators
+    rows = digit[end - 1].astype(np.int64)
+    for col, lo, hi, digits in zip(rows.T, before.T, end.T, widest):
+        for k in range(1, digits):        # a shorter number reads its separator's 0
+            col += digit[np.maximum(hi - (k + 1), lo)] * POW10[k]
+    np.negative(rows, out=rows, where=neg)
+    return rows, stop
+
+
+def _row_bytes(b, w):
+    """Offsets (int32) of the brackets and commas in the bytes ``b`` of
+    compact rows of width ``w``, or None unless every byte is one of
+    ``[],-0123456789``, they come as m rows' worth, every '-' follows a '['
+    or ',' and leads a digit, and no number starts with '0' and another
+    digit.  At most two byte masks live next to the offsets."""
+    is_digit, minus, lead = b - 48 < 10, b == 45, b == 91
+    rows = np.count_nonzero(lead) - 1
+    lead |= b == 44                       # the bytes a number may follow
+    signs = np.count_nonzero(minus)
+    if (np.count_nonzero(minus[1:-1] & lead[:-2] & is_digit[2:]) != signs
+            or (is_digit[2:] & (b[1:-1] == 48) & ~is_digit[:-2]).any()):
+        return None
+    numbers = np.count_nonzero(is_digit) + signs
+    del is_digit, minus
+    closes = b == 93
+    lead |= closes
+    if np.count_nonzero(closes) != rows + 1:
+        return None
+    del closes
+    seps = np.flatnonzero(lead).astype(np.int32)
+    if seps.size != rows * (w + 2) + 1 or numbers + seps.size != b.size:
+        return None
+    return seps
 
 
 # ---------------------------------------------------------------------------

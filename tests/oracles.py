@@ -4,14 +4,16 @@ and the helpers only tests call.
 Each definition is the one ``lclsim`` used to carry, body unchanged: the
 per-node rules the whole-array LOCAL rounds replaced (``pointer_happy``,
 ``_closest_other_color``, the weak-coloring oracles), the dict BFS behind the
-leaf-free check, the string-keyed copy ``run`` wrote its label maps through,
-the eager view encoding, the per-draw seeded draws, the weak-2 pipeline's
-dict handoff between stages, and small graph, bound and enumeration helpers.  The per-point speedup sweep
+leaf-free check, the ``json.load`` path every graph file was read through,
+the string-keyed copy ``run`` wrote its label maps through, the eager view
+encoding, the per-draw seeded draws, the weak-2 pipeline's dict handoff
+between stages, and small graph, bound and enumeration helpers.  The per-point speedup sweep
 is the one exception: its loop is unchanged, but it calls the construction's
 kernels on masks it thresholds itself.  Tests import them as they import
 ``conftest``.
 """
 
+import json
 import random
 from dataclasses import dataclass
 
@@ -24,8 +26,9 @@ from lclsim.bounds import PRECISION_BITS
 from lclsim.cli import REPAIR_PASSES, NodeMap
 from lclsim.engine import ENUM_BUDGET_BITS, Assignment, require_interior
 from lclsim.errors import (BudgetExceededError, InvalidInputError,
-                           InvalidParameterError)
-from lclsim.graph import (PortedGraph, ball_irregularities, bfs_distances, bfs_levels,
+                           InvalidInstanceError, InvalidParameterError)
+from lclsim.graph import (FORMAT_NAME, FORMAT_VERSION, PortedGraph, _int_rows,
+                          ball_irregularities, bfs_distances, bfs_levels,
                           dumps_canonical, edge_key)
 from lclsim.oriented import KERNEL_BUDGET_BITS
 from lclsim.problems import (HomogeneousLabel, PointerLabel, _sees_other_color,
@@ -292,6 +295,22 @@ def walk_pointer_chain(g, labels, v):
 # ---------------------------------------------------------------------------
 # graph
 # ---------------------------------------------------------------------------
+
+
+def json_load_graph(path):
+    """``PortedGraph.load`` as it read every file before compact edge rows
+    were decoded as arrays: ``json.load``, then ``_int_rows``, then
+    ``from_edges``."""
+    with open(path) as fh:
+        obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise InvalidInstanceError(f"{path}: not a JSON object")
+    if obj.get("format") != FORMAT_NAME or obj.get("version") != FORMAT_VERSION:
+        raise InvalidParameterError(f"not a {FORMAT_NAME} v{FORMAT_VERSION} file")
+    edges = obj["edges"]
+    rows = _int_rows(edges)
+    return PortedGraph.from_edges(obj["n"], edges if rows is None else rows,
+                                  delta=obj["delta"], meta=obj.get("meta"))
 
 
 def ball_is_leaf_free_dict(g, v, radius):

@@ -128,3 +128,13 @@ def test_recurrence_past_the_budget_raises_before_computing():
         recurrence_bound(2, Fraction(1, 64), 4, 6)
     assert recurrence_bound(2, Fraction(0), 50, 4).closed_form == 0
     assert recurrence_bound(16, Fraction(1, 16**4), 2, 4).agree
+
+
+def test_recurrence_zero_base_is_zero_at_once():
+    """p0 = 0 makes the base 0, so the bound is the exact 0 for every t and
+    no power is taken: t = 10**9 returns at once."""
+    rb = recurrence_bound(2, Fraction(0), 10**9, 4)
+    assert rb.closed_form == rb.iterated == 0 and rb.agree
+    assert rb.steps == 2 * 10**9 + 1
+    for t in range(4):
+        assert recurrence_bound(3, Fraction(0), t, 6).closed_form == 0

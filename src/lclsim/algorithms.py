@@ -21,8 +21,8 @@ import numpy as np
 from .engine import run_node_algorithm
 from .errors import InvalidInputError, InvalidParameterError, PSolverViolation
 from .graph import CycleIndex, frontier_slots, reduce_slots, slot_owners
-from .problems import (HomogeneousLabel, PointerLabel, color_array, label_array,
-                       other_color_level)
+from .problems import (HomogeneousLabel, PointerLabel, color_array, identity_codes,
+                       label_array, other_color_level)
 
 
 # ---------------------------------------------------------------------------
@@ -503,17 +503,14 @@ def homogeneous_dispatch(g, p_solver, p_verifier, r, assignment):
     k = p_solver.rounds + r
     pointer_labels = solve_pointer_labeling_local(g, k, assignment)
     inner = run_node_algorithm(g, p_solver, assignment)
-    # one label per (inner label, pointer label) pair of objects; keyed by
-    # identity, which also serves unhashable inner labels
-    shared = {}
-    labels = {}
-    for v in range(g.n):
-        i, p = inner.get(v), pointer_labels.get(v)
-        key = (id(i), id(p))
-        lab = shared.get(key)
-        if lab is None:
-            lab = shared[key] = HomogeneousLabel(inner=i, pointer=p)
-        labels[v] = lab
+    # one label per distinct (inner label, pointer label) pair of objects
+    i_code, i_objs = identity_codes(inner.get(v) for v in range(g.n))
+    p_code, p_objs = identity_codes(pointer_labels.get(v) for v in range(g.n))
+    _, first, code = np.unique(i_code * len(p_objs) + p_code,
+                               return_index=True, return_inverse=True)
+    shared = [HomogeneousLabel(inner=i_objs[i_code[v]], pointer=p_objs[p_code[v]])
+              for v in first.tolist()]
+    labels = dict(zip(range(g.n), [shared[c] for c in code.tolist()]))
     bad = [v for v in range(g.n)
            if v not in pointer_labels and not p_verifier(g, v, inner)]
     if bad:

@@ -39,7 +39,7 @@ from .errors import (BudgetExceededError, DomainError, InvalidInputError,
 from .graph import (POW10, PortedGraph, bfs_levels, decimal_digits, digit_columns,
                     dumps_canonical, gen_cycle, gen_regular_tree, gen_symlower_pair,
                     right_aligned)
-from .problems import (verify_homogeneous, verify_pointer_labeling,
+from .problems import (identity_codes, verify_homogeneous, verify_pointer_labeling,
                        verify_weak_coloring, verifier_report)
 from .speedup import (SpeedupConfig, constant_edge_algorithm,
                       constant_node_algorithm, center_mod_node_algorithm,
@@ -96,7 +96,7 @@ class NodeMap:
         nd = decimal_digits(keys)
         width = int(nd.max(initial=1))
         order = np.lexsort((nd, keys * POW10[width - nd]))
-        code, labels = _identity_codes(self.labels.values(), n)
+        code, labels = identity_codes(self.labels.values())
         # one template row per label: '"', the key's digit slots, '":', the text, ','
         texts = [b'"%s":%s,' % (b"0" * width, _dumps(asdict(x) if is_dataclass(x) else x).encode())
                  for x in labels]
@@ -112,20 +112,6 @@ class NodeMap:
         text = row[keep][:-1]
         del row, keep                     # before the text is copied out
         return f"{{{str(text, 'ascii')}}}"
-
-
-def _identity_codes(values, n):
-    """A code for each of the ``n`` values, numbering the distinct objects
-    among them (by identity), and those objects in code order."""
-    ids = np.fromiter(map(id, values), np.int64, n)
-    by_id = np.argsort(ids)
-    ids = ids[by_id]
-    first = np.ones(n, bool)
-    np.not_equal(ids[1:], ids[:-1], out=first[1:])
-    code = np.empty(n, np.intp)
-    code[by_id] = np.cumsum(first) - 1
-    objects = list(values)
-    return code, [objects[i] for i in by_id[first].tolist()]
 
 
 def _holds_node_map(obj):

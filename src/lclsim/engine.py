@@ -227,12 +227,14 @@ class _CompiledBall:
     the positions in the region of its radius-t ball, or of both endpoint
     balls for an edge.  Each view is therefore extracted and evaluated once
     per distinct bit pattern of its support, and the predicate runs once
-    per distinct tuple of labels; the memos are kept across blocks.
+    per distinct tuple of labels; the memos are kept across blocks.  A view
+    reads no id outside its own ball, so each source's assignments carry
+    only its support's ids.
     """
 
     def __init__(self, g, alg, v, fail_predicate, b, ids, inputs):
         self.g, self.alg, self.v, self.fail_predicate = g, alg, v, fail_predicate
-        self.b, self.ids, self.inputs = b, ids, inputs
+        self.b, self.inputs = b, inputs
         t = alg.rounds
         self.region = sorted(bfs_distances(g, v, t + 1))
         pos = {u: i for i, u in enumerate(self.region)}
@@ -242,11 +244,12 @@ class _CompiledBall:
             sources = {edge_key(v, u): (v, u) for u in g.adjacent(v)}
         self.label_keys = list(sources)
         self.centers = list(sources.values())
-        self.supports = []
+        self.supports, self.ids = [], []
         for center in self.centers:
             ends = center if isinstance(center, tuple) else (center,)
             ball = set().union(*(bfs_distances(g, u, t) for u in ends))
             self.supports.append(np.array(sorted(pos[u] for u in ball), dtype=np.intp))
+            self.ids.append(None if ids is None else {u: ids[u] for u in ball if u in ids})
         self.memos = [{} for _ in self.centers]   # support pattern -> label code
         self.codes = {}                             # (type, label) -> label code
         self.labels = []                            # label code -> label
@@ -255,7 +258,7 @@ class _CompiledBall:
     def _label(self, i, pattern):
         bits = dict(zip((self.region[p] for p in self.supports[i].tolist()),
                         pattern.tolist()))
-        a = Assignment(b=self.b, bits=bits, ids=self.ids)
+        a = Assignment(b=self.b, bits=bits, ids=self.ids[i])
         label = self.alg.evaluate(
             extract_view(self.g, self.centers[i], self.alg.rounds, a, self.inputs))
         key = (type(label), label)
@@ -380,14 +383,15 @@ def local_failure_probability(g, alg, v, fail_predicate, mode="exact",
     ball = _CompiledBall(g, alg, v, fail_predicate, b, ids, inputs)
     m = len(ball.region)
     dtype = np.uint8 if b <= 8 else np.int64
+    if mode == "exact" and b * m > ENUM_BUDGET_BITS:
+        raise BudgetExceededError(
+            f"{b * m} bits exceed the exact-enumeration budget of {ENUM_BUDGET_BITS}")
+    if mode not in ("exact", "monte-carlo"):
+        raise InvalidInputError(f"unknown mode {mode!r}")
+    Assignment(b=b, bits=None, ids=ids)     # checks the ids' injectivity once
     if mode == "exact":
-        if b * m > ENUM_BUDGET_BITS:
-            raise BudgetExceededError(
-                f"{b * m} bits exceed the exact-enumeration budget of {ENUM_BUDGET_BITS}")
         hits = sum(ball.hits(block) for block in _counter_blocks(m, b, dtype))
         return FailureEstimate(value=Fraction(hits, 1 << (b * m)), mode="exact")
-    if mode != "monte-carlo":
-        raise InvalidInputError(f"unknown mode {mode!r}")
     hits = sum(ball.hits(block)
                for block in _sample_blocks(seed, samples, m, b, dtype))
     err = hoeffding_radius(samples, confidence)

@@ -24,7 +24,6 @@ import json
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -292,7 +291,7 @@ class PortedGraph:
         """Read a graph file.  Compact edge rows (as ``save`` writes them)
         are decoded straight into an int64 array; any other text goes
         through ``json.loads``, which also names the fault of a malformed
-        file."""
+        file, and its rows go to ``from_edges`` as they are."""
         with open(path) as fh:
             text = fh.read()
         obj = _read_compact(text)
@@ -302,34 +301,8 @@ class PortedGraph:
             raise InvalidInstanceError(f"{path}: not a JSON object")
         if obj.get("format") != FORMAT_NAME or obj.get("version") != FORMAT_VERSION:
             raise InvalidParameterError(f"not a {FORMAT_NAME} v{FORMAT_VERSION} file")
-        edges = obj["edges"]
-        rows = edges if isinstance(edges, np.ndarray) else _int_rows(edges)
-        return cls.from_edges(obj["n"], edges if rows is None else rows,
-                              delta=obj["delta"], meta=obj.get("meta"))
-
-
-def _int_rows(rows):
-    """JSON edge rows as an int64 array, read flat without a nested-list
-    conversion; None unless they are int rows of one width, 4 or 6 (then
-    ``from_edges`` judges them as given).  ``np.fromiter`` would truncate
-    a float and parse a string, so the rows' sum first rejects those: it
-    raises on a string or a list and comes out a float if any value is one.
-    Rows of values no larger than 1 also go to ``from_edges``, which tells
-    JSON booleans from ints.
-    """
-    try:
-        widths = set(map(len, rows))
-        total = sum(chain.from_iterable(rows))
-    except TypeError:
-        return None
-    if type(total) is not int or len(widths) != 1 or not widths <= {4, 6}:
-        return None
-    width, = widths
-    try:
-        flat = np.fromiter(chain.from_iterable(rows), np.int64, width * len(rows))
-    except OverflowError:
-        return None
-    return flat.reshape(-1, width) if flat.max() > 1 else None
+        return cls.from_edges(obj["n"], obj["edges"], delta=obj["delta"],
+                              meta=obj.get("meta"))
 
 
 def dumps_canonical(obj):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInstanceError, InvalidLabelingError, InvalidParameterError
+from .errors import InvalidInstanceError, InvalidLabelingError
 from .graph import edge_key, reduce_slots, slot_owners
 
 
@@ -165,18 +165,31 @@ def verify_weak_edge_coloring(g, psi, c, delta):
 # ---------------------------------------------------------------------------
 
 
+def identity_codes(values):
+    """A code for each value, numbering the distinct objects among them by
+    identity, and those objects in code order.  A caller that reads each
+    distinct object once reads a shared label once; unhashable labels work,
+    and ``1``, ``True`` and ``1.0`` (equal, yet of different types) stay
+    apart."""
+    objects = list(values)
+    ids = np.fromiter(map(id, objects), np.int64, len(objects))
+    _, first, code = np.unique(ids, return_index=True, return_inverse=True)
+    return code, [objects[i] for i in first.tolist()]
+
+
 def verify_pointer_labeling(g, labels, delta):
     """Per-node pass/fail of the pointer problem; the checker is total.
     Every node is judged at once by :func:`_pointer_verdicts`."""
-    ok, bad_port = _pointer_verdicts(g, [labels.get(v) for v in range(g.n)], delta)
+    ok, bad_port = _pointer_verdicts(
+        g, *identity_codes(labels.get(v) for v in range(g.n)), delta)
     if bad_port is not None:
         g.neighbor_by_port(*bad_port[1:])     # raises InvalidParameterError
     return dict(zip(range(g.n), ok.tolist()))
 
 
-def _pointer_verdicts(g, labs, delta):
-    """The five pointer conditions at every node, from its label in the
-    list ``labs`` (None: unlabeled), as whole-array gathers over
+def _pointer_verdicts(g, code, labs, delta):
+    """The five pointer conditions at every node v, from its label
+    ``labs[code[v]]`` (None: unlabeled), as whole-array gathers over
     ``g.csr()``:
 
     1. full-degree nodes point somewhere;
@@ -187,23 +200,29 @@ def _pointer_verdicts(g, labs, delta):
        match the guess.
     An unlabeled node fails, and so does a pointer into one.
 
+    Each label in ``labs`` is decoded once.  Degree guesses are compared as
+    Python values: each distinct guess gets one code, and the degrees
+    ``0..delta`` get their own value as code.  A port is the own port
+    ``q < g.delta`` with ``q == port``, as ``neighbor_by_port`` compares.
     Returns the verdict array and, if some labeled node would look up a
     port its node lacks, ``(labeled node, node, port)`` for the first such
-    node (else None); the per-node rule (``tests/oracles.py``)
-    raises there.  Degree guesses are compared as Python values: each
-    distinct guess gets one code, and the degrees ``0..delta`` get their
-    own value as code.
+    node (else None); the per-node rule (``tests/oracles.py``) raises there.
     """
-    n = g.n
+    n, width = g.n, max(g.delta, 1)
     deg = np.diff(g.csr()[0])
-    has = np.array([lab is not None for lab in labs], bool)
     codes = {d: d for d in range(g.delta + 1)}
-    guess = np.array([codes.setdefault(lab.d, len(codes)) if lab is not None else -1
-                      for lab in labs], np.int64)
-    ports = [None if lab is None else lab.port for lab in labs]
-    to = _pointer_targets(g, ports)
+    guess = np.array([-1 if lab is None else codes.setdefault(lab.d, len(codes))
+                      for lab in labs], np.int64)[code]
+    # own port of each label: -1 for no pointer, -2 for no such port
+    port = np.array([-1 if lab is None or lab.port is None
+                     else next((q for q in range(g.delta) if q == lab.port), -2)
+                     for lab in labs], np.int64)[code]
+    indptr, nbr, my_port = g.csr()[:3]
+    by_port = np.full(n * width, -2, np.int64)
+    by_port[slot_owners(indptr).astype(np.int64) * width + my_port] = nbr
+    to = np.where(port >= 0, by_port[np.arange(n) * width + np.maximum(port, 0)], port)
     pointing = to != -1
-    ok = has & np.where(deg == delta, pointing, ~pointing & (guess == deg))
+    ok = (guess >= 0) & np.where(deg == delta, pointing, ~pointing & (guess == deg))
     check = ok & pointing
     u = np.where(check & (to >= 0), to, 0)
     agree = check & (to >= 0) & (guess[u] == guess)     # -1: u unlabeled
@@ -217,31 +236,7 @@ def _pointer_verdicts(g, labs, delta):
         return ok, None
     v = int(first[0])
     w = v if own_bad[v] else int(u[v])
-    return ok, (v, w, ports[w])
-
-
-def _pointer_targets(g, ports):
-    """The node each pointer reaches: -1 for no pointer (port None), -2
-    where the node has no such port.  Integer ports are looked up in one
-    (node, port) table; other values go through ``neighbor_by_port``."""
-    n, width = g.n, max(g.delta, 1)
-    pointing = np.array([p is not None for p in ports], bool)
-    to = np.where(pointing, -2, -1)
-    if not {type(p) for p in ports} <= {int, type(None)}:
-        for v in np.flatnonzero(pointing).tolist():
-            try:
-                to[v] = g.neighbor_by_port(v, ports[v])
-            except InvalidParameterError:
-                pass
-        return to
-    port = np.array([p if p is not None and 0 <= p < width else -1 for p in ports],
-                    np.int64)
-    indptr, nbr, my_port = g.csr()[:3]
-    by_port = np.full(n * width, -2, np.int64)
-    by_port[slot_owners(indptr).astype(np.int64) * width + my_port] = nbr
-    inside = np.flatnonzero(port >= 0)
-    to[inside] = by_port[inside * width + port[inside]]
-    return to
+    return ok, (v, w, labs[code[w]].port)
 
 
 # ---------------------------------------------------------------------------
@@ -257,19 +252,16 @@ def verify_homogeneous(g, labels, inner_verifier, delta):
     ``inner_verifier(g, v, inner_labels)`` sees the inner components of all
     nodes (possibly None where only pointers were emitted).
     """
-    labs = [labels.get(v) for v in range(g.n)]
+    code, labs = identity_codes(labels.get(v) for v in range(g.n))
     pointers = [None if lab is None else lab.pointer for lab in labs]
     inner_part = {v: lab.inner for v, lab in labels.items()}
-    ok, bad_port = _pointer_verdicts(g, pointers, delta)
+    ok, bad_port = _pointer_verdicts(g, code, pointers, delta)
+    # an unlabeled node fails with its missing pointer
+    inner_side = [lab is not None and p is None for lab, p in zip(labs, pointers)]
     results = {}
-    for v, lab, pointer, pointer_ok in zip(range(g.n if bad_port is None else bad_port[0]),
-                                           labs, pointers, ok.tolist()):
-        if lab is None:
-            results[v] = False
-        elif pointer is not None:
-            results[v] = pointer_ok
-        else:
-            results[v] = bool(inner_verifier(g, v, inner_part))
+    for v, c, pointer_ok in zip(range(g.n if bad_port is None else bad_port[0]),
+                                code.tolist(), ok.tolist()):
+        results[v] = bool(inner_verifier(g, v, inner_part)) if inner_side[c] else pointer_ok
     if bad_port is not None:
         g.neighbor_by_port(*bad_port[1:])     # raises InvalidParameterError
     return results

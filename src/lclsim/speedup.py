@@ -262,9 +262,13 @@ class EdgeSpeedupConstruction(_SpeedupConstruction):
                               lambda: (self._failure(masks), self._goodness(masks)))
 
     def _failure(self, masks):
-        c = self.source.c
+        """The packed pairs that occur, ranked: equal pairs keep equal codes,
+        and the kernel counts over the pairs in use, not all 2^(2c)."""
+        pairs = (masks << self.source.c) | masks[:, np.arange(masks.shape[1]) ^ 1]
+        used, rank = np.unique(pairs, return_inverse=True)
+        rank = rank.reshape(pairs.shape)
         return _edge_failure(self.cfg.delta, self.rounds, self.cfg.b,
-                             lambda d: (masks[:, d] << c) | masks[:, d ^ 1], 1 << (2 * c))
+                             lambda d: rank[:, d], used.size)
 
     def goodness_violation(self, f):
         """Pr[some incident edge's frequent set omits the center's color].

@@ -16,6 +16,7 @@ kernels on masks it thresholds itself.  Tests import them as they import
 import json
 import random
 from dataclasses import dataclass
+from itertools import chain
 
 import mpmath
 import numpy as np
@@ -27,7 +28,7 @@ from lclsim.cli import REPAIR_PASSES, NodeMap
 from lclsim.engine import ENUM_BUDGET_BITS, Assignment, require_interior
 from lclsim.errors import (BudgetExceededError, InvalidInputError,
                            InvalidInstanceError, InvalidParameterError)
-from lclsim.graph import (FORMAT_NAME, FORMAT_VERSION, PortedGraph, _int_rows,
+from lclsim.graph import (FORMAT_NAME, FORMAT_VERSION, PortedGraph,
                           ball_irregularities, bfs_distances, bfs_levels,
                           dumps_canonical, edge_key)
 from lclsim.oriented import KERNEL_BUDGET_BITS
@@ -295,6 +296,30 @@ def walk_pointer_chain(g, labels, v):
 # ---------------------------------------------------------------------------
 # graph
 # ---------------------------------------------------------------------------
+
+
+def _int_rows(rows):
+    """JSON edge rows as an int64 array, read flat without a nested-list
+    conversion; None unless they are int rows of one width, 4 or 6 (then
+    ``from_edges`` judges them as given).  ``np.fromiter`` would truncate
+    a float and parse a string, so the rows' sum first rejects those: it
+    raises on a string or a list and comes out a float if any value is one.
+    Rows of values no larger than 1 also go to ``from_edges``, which tells
+    JSON booleans from ints.
+    """
+    try:
+        widths = set(map(len, rows))
+        total = sum(chain.from_iterable(rows))
+    except TypeError:
+        return None
+    if type(total) is not int or len(widths) != 1 or not widths <= {4, 6}:
+        return None
+    width, = widths
+    try:
+        flat = np.fromiter(chain.from_iterable(rows), np.int64, width * len(rows))
+    except OverflowError:
+        return None
+    return flat.reshape(-1, width) if flat.max() > 1 else None
 
 
 def json_load_graph(path):

@@ -121,6 +121,38 @@ def test_budget_exceeded_switches_modes():
     assert est.mode == "monte-carlo" and est.samples == 50
 
 
+def test_ids_read_in_the_ball_and_checked_once():
+    """Views see the ids of their own ball.  The caller's ids are checked
+    once: after the interior check and the budget or mode errors, and also
+    where they repeat outside B_{t+1}(v)."""
+    g = gen_regular_tree(4, 3)
+    ids = {v: 3 * v + 1 for v in range(g.n)}
+    alg = LocalAlgorithm(rounds=0, kind="node",
+                         rule=lambda view: view.bits(view.center_node) ^ view.ident(view.center_node) % 2)
+    region = [0] + g.adjacent(0)
+    hits = 0
+    for bits in enumerate_assignments(region, 1):
+        a = Assignment(b=1, bits=bits, ids=ids)
+        labels = {u: alg.evaluate(extract_view(g, u, 0, a)) for u in region}
+        hits += weak_coloring_failure(g, 0, labels)
+    est = local_failure_probability(g, alg, 0, weak_coloring_failure, b=1, ids=ids)
+    assert est.value == Fraction(hits, 32)
+
+    far = dict(ids)
+    far[g.n - 1] = far[g.n - 2]     # two leaves, outside B_1(0)
+    for mode in ("exact", "monte-carlo"):
+        with pytest.raises(InvalidInputError, match="not injective"):
+            local_failure_probability(g, alg, 0, weak_coloring_failure, mode=mode,
+                                      b=1, ids=far, samples=10)
+    with pytest.raises(InvalidInputError, match="unknown mode"):
+        local_failure_probability(g, alg, 0, weak_coloring_failure, mode="x", b=1, ids=far)
+    wide = LocalAlgorithm(rounds=1, kind="node", rule=lambda view: 0)
+    with pytest.raises(BudgetExceededError):
+        local_failure_probability(g, wide, 0, weak_coloring_failure, b=2, ids=far)
+    with pytest.raises(InvalidInstanceError):
+        local_failure_probability(g, wide, g.n - 1, weak_coloring_failure, b=2, ids=far)
+
+
 def test_boundary_nodes_rejected():
     g = gen_regular_tree(4, 2)
     alg = LocalAlgorithm(rounds=1, kind="node", rule=lambda v: 0)

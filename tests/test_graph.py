@@ -7,12 +7,12 @@ import pytest
 from conftest import (brute_canonical_cycle, pruned_oriented_tree, random_graph,
                       random_tree, relabeled)
 from lclsim.errors import InvalidInstanceError, InvalidParameterError
-from lclsim.graph import (PortedGraph, _int_rows, bfs_distances, cycle_detour,
+from lclsim.graph import (PortedGraph, bfs_distances, cycle_detour,
                           gen_balanced_tree, gen_cycle, gen_regular_tree,
                           gen_symlower_pair, independent_execution_set,
                           plant_irregularities)
 from lclsim.views import extract_view
-from oracles import closest_irregularity, distance
+from oracles import _int_rows, closest_irregularity, distance
 
 
 def test_regular_tree_counts():

@@ -10,6 +10,7 @@ oracle rejects must be rejected with the same class and message.
 import heapq
 import random
 
+import numpy as np
 import pytest
 
 from conftest import random_graph, random_tree
@@ -417,12 +418,16 @@ def test_verify_weak_coloring_rejections_match():
 
 
 def random_pointer_labels(g, rng, delta):
+    shared = PointerLabel(d=rng.randrange(0, delta + 1), port=rng.choice([None, 0, np.int8(1)]))
     labels = {}
     for v in range(g.n):
         if rng.random() < 0.05:
             continue
+        if rng.random() < 0.2:      # one label object at many nodes
+            labels[v] = shared
+            continue
         ports = [p for _, p, _ in g.neighbors(v)]
-        port = rng.choice([None, None] + ports * 3 + [delta + 1, -1])
+        port = rng.choice([None, None] + ports * 3 + [delta + 1, -1, np.int8(1), np.int64(2)])
         labels[v] = PointerLabel(d=rng.randrange(0, delta + 1), port=port)
     return labels
 
@@ -450,10 +455,12 @@ def test_verify_pointer_labeling_odd_values():
     rng = random.Random(3)
     for trial in range(40):
         labels = {}
+        shared = PointerLabel(d=rng.choice([1, 2, True]), port=rng.choice([None, np.int64(0), 1.0]))
         for v in range(g.n):
             ports = [p for _, p, _ in g.neighbors(v)]
-            port = rng.choice([None, True, 1.0, "x", 2**70] + ports)
-            labels[v] = PointerLabel(d=rng.choice([0, 1, 2, 1.0, True, "1", 3]), port=port)
+            port = rng.choice([None, True, 1.0, "x", 2**70, np.int8(1), np.int64(2)] + ports)
+            labels[v] = shared if rng.random() < 0.3 else \
+                PointerLabel(d=rng.choice([0, 1, 2, 1.0, True, "1", 3, np.int64(2)]), port=port)
         assert outcome(verify_pointer_labeling, g, labels, 3) == \
             outcome(oracle_verify_pointer_labeling, g, labels, 3)
 
@@ -468,9 +475,11 @@ def test_verify_homogeneous_matches_per_node(seed):
     for g in graphs(seed):
         for _ in range(5):
             pointers = random_pointer_labels(g, rng, g.delta)
-            labels = {v: HomogeneousLabel(inner=rng.choice([1, 2]),
-                                          pointer=pointers.get(v) if rng.random() < 0.5
-                                          else None)
+            shared = HomogeneousLabel(inner=1, pointer=rng.choice([None, pointers.get(0)]))
+            labels = {v: shared if rng.random() < 0.2 else
+                      HomogeneousLabel(inner=rng.choice([1, 2]),
+                                       pointer=pointers.get(v) if rng.random() < 0.5
+                                       else None)
                       for v in range(g.n) if rng.random() < 0.97}
             assert outcome(verify_homogeneous, g, labels, inner_ok, g.delta) == \
                 outcome(oracle_verify_homogeneous, g, labels, inner_ok, g.delta)

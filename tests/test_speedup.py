@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -116,6 +117,26 @@ def test_derived_palette_sizes():
     e = xor_edge_algorithm(4, 0, 1)
     nt = edge_to_node_speedup(e, SpeedupConfig(4, 2, 0, Fraction(1, 3), 1))
     assert all(0 <= x < 2 ** (4 * 2) for x in nt.node_table(Fraction(1, 3)).table)
+
+
+def test_direction1_failure_counts_only_the_pairs_in_use():
+    """The derived kernel counts over the packed pairs that occur, ranked,
+    not over the 2^(2c) palette: at c=10 it stays under 10 MB, and p' is
+    that of the same rule declared with c=2."""
+    f = Fraction(1, 3)
+    con = node_to_edge_speedup(own_bit_node_algorithm(4, 1, 1, 10),
+                               SpeedupConfig(delta=4, c=10, t=1, f=f, b=1))
+    con.frequent_masks(f)       # thresholded first: only the kernel is traced
+    tracemalloc.start()
+    try:
+        p_prime = con.local_failure(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    small = node_to_edge_speedup(own_bit_node_algorithm(4, 1, 1, 2),
+                                 SpeedupConfig(delta=4, c=2, t=1, f=f, b=1))
+    assert p_prime == small.local_failure(f)
 
 
 def test_conditional_independence_of_completions():

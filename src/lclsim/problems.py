@@ -45,6 +45,18 @@ def verifier_report(problem, results):
     }
 
 
+def identity_codes(values):
+    """A code for each value, numbering the distinct objects among them by
+    identity, and those objects in code order.  A caller that reads each
+    distinct object once reads a shared label once; unhashable labels work,
+    and ``1``, ``True`` and ``1.0`` (equal, yet of different types) stay
+    apart."""
+    objects = list(values)
+    ids = np.fromiter(map(id, objects), np.int64, len(objects))
+    _, first, code = np.unique(ids, return_index=True, return_inverse=True)
+    return code, [objects[i] for i in first.tolist()]
+
+
 # ---------------------------------------------------------------------------
 # Weak coloring
 # ---------------------------------------------------------------------------
@@ -165,18 +177,6 @@ def verify_weak_edge_coloring(g, psi, c, delta):
 # ---------------------------------------------------------------------------
 
 
-def identity_codes(values):
-    """A code for each value, numbering the distinct objects among them by
-    identity, and those objects in code order.  A caller that reads each
-    distinct object once reads a shared label once; unhashable labels work,
-    and ``1``, ``True`` and ``1.0`` (equal, yet of different types) stay
-    apart."""
-    objects = list(values)
-    ids = np.fromiter(map(id, objects), np.int64, len(objects))
-    _, first, code = np.unique(ids, return_index=True, return_inverse=True)
-    return code, [objects[i] for i in first.tolist()]
-
-
 def verify_pointer_labeling(g, labels, delta):
     """Per-node pass/fail of the pointer problem; the checker is total.
     Every node is judged at once by :func:`_pointer_verdicts`."""
@@ -209,7 +209,8 @@ def _pointer_verdicts(g, code, labs, delta):
     node (else None); the per-node rule (``tests/oracles.py``) raises there.
     """
     n, width = g.n, max(g.delta, 1)
-    deg = np.diff(g.csr()[0])
+    indptr, nbr, my_port = g.csr()[:3]
+    deg = np.diff(indptr)
     codes = {d: d for d in range(g.delta + 1)}
     guess = np.array([-1 if lab is None else codes.setdefault(lab.d, len(codes))
                       for lab in labs], np.int64)[code]
@@ -217,7 +218,6 @@ def _pointer_verdicts(g, code, labs, delta):
     port = np.array([-1 if lab is None or lab.port is None
                      else next((q for q in range(g.delta) if q == lab.port), -2)
                      for lab in labs], np.int64)[code]
-    indptr, nbr, my_port = g.csr()[:3]
     by_port = np.full(n * width, -2, np.int64)
     by_port[slot_owners(indptr).astype(np.int64) * width + my_port] = nbr
     to = np.where(port >= 0, by_port[np.arange(n) * width + np.maximum(port, 0)], port)

@@ -127,8 +127,11 @@ def test_ids_read_in_the_ball_and_checked_once():
     where they repeat outside B_{t+1}(v)."""
     g = gen_regular_tree(4, 3)
     ids = {v: 3 * v + 1 for v in range(g.n)}
-    alg = LocalAlgorithm(rounds=0, kind="node",
-                         rule=lambda view: view.bits(view.center_node) ^ view.ident(view.center_node) % 2)
+
+    def rule(view):
+        return view.bits(view.center_node) ^ view.ident(view.center_node) % 2
+
+    alg = LocalAlgorithm(rounds=0, kind="node", rule=rule)
     region = [0] + g.adjacent(0)
     hits = 0
     for bits in enumerate_assignments(region, 1):

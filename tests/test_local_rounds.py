@@ -455,7 +455,8 @@ def test_verify_pointer_labeling_odd_values():
     rng = random.Random(3)
     for trial in range(40):
         labels = {}
-        shared = PointerLabel(d=rng.choice([1, 2, True]), port=rng.choice([None, np.int64(0), 1.0]))
+        shared = PointerLabel(d=rng.choice([1, 2, True]),
+                              port=rng.choice([None, np.int64(0), 1.0]))
         for v in range(g.n):
             ports = [p for _, p, _ in g.neighbors(v)]
             port = rng.choice([None, True, 1.0, "x", 2**70, np.int8(1), np.int64(2)] + ports)

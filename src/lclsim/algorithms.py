@@ -22,7 +22,7 @@ from .engine import run_node_algorithm
 from .errors import InvalidInputError, InvalidParameterError, PSolverViolation
 from .graph import CycleIndex, frontier_slots, reduce_slots, slot_owners
 from .problems import (HomogeneousLabel, PointerLabel, color_array, identity_codes,
-                       label_array, other_color_level)
+                       label_array)
 
 
 # ---------------------------------------------------------------------------
@@ -52,15 +52,12 @@ def weak_to_weak2c(g, phi, k, c, validate=True, detail=True):
     search in port-path order whose first level holding another color
     decides, the smallest (color, port path) of that level winning.
     """
-    if validate:
-        colors = color_array(g, phi, c)
-        bad = np.flatnonzero(other_color_level(g, colors, k) == 0)
-        if bad.size:
-            raise InvalidInputError(
-                f"not a valid distance-{k} weak {c}-coloring; offenders {bad[:5].tolist()}")
-    else:
-        colors = label_array([phi[v] for v in range(g.n)])
-    target, dist, first_port = _recolor_sweeps(g, colors, k)
+    colors = color_array(g, phi, c) if validate else label_array([phi[v] for v in range(g.n)])
+    target, dist, first_port, missing = _recolor_sweeps(g, colors, k)
+    if missing.size:
+        raise InvalidInputError(
+            f"not a valid distance-{k} weak {c}-coloring; offenders {missing[:5].tolist()}"
+            if validate else f"node {missing[0]} sees no other color within distance {k}")
     dist = dist.tolist()
     # Python ints: a palette may pass int64
     new = [(col - 1) * 2 + d % 2 + 1 for col, d in zip(colors.tolist(), dist)]
@@ -79,7 +76,8 @@ _DIST_SHIFT = _PORT_SHIFT + 5
 
 def _recolor_sweeps(g, colors, k):
     """Closest differently-colored node of every node, as ``(target, dist,
-    first_port)`` arrays.
+    first_port)`` arrays, and the nodes that see no other color within
+    distance k.
 
     After sweep j each node holds the two smallest distinct colors of its
     radius-j ball, each with its best entry: the smallest (distance, port
@@ -123,12 +121,8 @@ def _recolor_sweeps(g, colors, k):
         found[fresh] = np.where(first != rank, best[0][1], best[1][1])[fresh]
         if (found >= 0).all():
             break
-    missing = np.flatnonzero(found < 0)
-    if missing.size:
-        raise InvalidInputError(
-            f"node {missing[0]} sees no other color within distance {k}")
     return (found & ((np.int64(1) << _PORT_SHIFT) - 1), found >> _DIST_SHIFT,
-            ((found & port_field) >> _PORT_SHIFT) - 1)
+            ((found & port_field) >> _PORT_SHIFT) - 1, np.flatnonzero(found < 0))
 
 
 @dataclass

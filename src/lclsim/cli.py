@@ -283,7 +283,8 @@ def cmd_run(args):
     elif args.algorithm == "solve-pointers-local":
         a = Assignment.random(g, b=1, seed=args.seed, with_ids=True)
         labels = solve_pointer_labeling_local(g, args.r, a)
-        results = {v: True for v in labels}  # coverage reported, not judged
+        verdicts = verify_pointer_labeling(g, labels, g.delta)
+        results = {v: verdicts[v] for v in labels}
         payload = {"labels": NodeMap(labels),
                    "labeled": len(labels), "radius": args.r}
         problem = "pointer-labeling(local)"

@@ -224,12 +224,12 @@ class _CompiledBall:
 
     The predicate reads one label per source (v and its neighbours, or the
     edges at v).  A source's view depends only on the bits of its support:
-    the positions in the region of its radius-t ball, or of both endpoint
-    balls for an edge.  Each view is therefore extracted and evaluated once
-    per distinct bit pattern of its support, and the predicate runs once
-    per distinct tuple of labels; the memos are kept across blocks.  A view
-    reads no id outside its own ball, so each source's assignments carry
-    only its support's ids.
+    the region's positions of the nodes the view reads (``View.nodes``: its
+    radius-t ball, or both endpoint balls for an edge).  Each view is
+    therefore extracted and evaluated once per distinct bit pattern of its
+    support, and the predicate runs once per distinct tuple of labels; the
+    memos are kept across blocks.  A view reads no id outside its own ball,
+    so each source's assignments carry only its support's ids.
     """
 
     def __init__(self, g, alg, v, fail_predicate, b, ids, inputs):
@@ -246,8 +246,7 @@ class _CompiledBall:
         self.centers = list(sources.values())
         self.supports, self.ids = [], []
         for center in self.centers:
-            ends = center if isinstance(center, tuple) else (center,)
-            ball = set().union(*(bfs_distances(g, u, t) for u in ends))
+            ball = extract_view(g, center, t).nodes
             self.supports.append(np.array(sorted(pos[u] for u in ball), dtype=np.intp))
             self.ids.append(None if ids is None else {u: ids[u] for u in ball if u in ids})
         self.memos = [{} for _ in self.centers]   # support pattern -> label code

@@ -24,6 +24,7 @@ import json
 from array import array
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -85,6 +86,15 @@ class PortedGraph:
         ``sign`` is the sign of the edge at ``u``; the edge carries the
         opposite sign at ``v``.
         """
+        if not isinstance(edges, np.ndarray):   # numpy would read True as 1
+            try:
+                has_bool = bool in set(map(type, chain.from_iterable(edges)))
+            except TypeError:   # a row that is no sequence, rejected below
+                has_bool = False
+            if has_bool:
+                i, row = next((i, r) for i, r in enumerate(edges) if bool in map(type, r))
+                raise InvalidInstanceError(
+                    f"edges must be integer rows; row {i} {list(row)} holds a boolean")
         try:
             e = np.asarray(edges) if len(edges) else np.zeros((0, 4), np.int64)
         except ValueError:  # rows of different lengths

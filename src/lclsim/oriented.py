@@ -10,8 +10,9 @@ per position in canonical (BFS, then lexicographic) order, which makes
 table algorithms numpy arrays and conditional color distributions exact
 integer counts.
 
-Edge balls are anchored at the edge's ``+`` endpoint: positions on the
-``+`` side come first, so both endpoints pack an edge view identically.
+A position is a path from one anchor node; an edge ball is anchored at its
+``+`` endpoint (``edge_ball_paths``), so both endpoints pack an edge view
+identically, and a frame (one ball inside another) is one ``compose``.
 
 Coordinates, frames and key tables depend only on small integers, so each
 is built once per process (``functools.lru_cache``); cached arrays are
@@ -29,10 +30,6 @@ from .errors import BudgetExceededError, InvalidParameterError, TotalRuleViolati
 
 TABLE_BITS_CAP = 22   # 4M entries; everything in scope is far below
 KERNEL_BUDGET_BITS = 24  # conditioning bits + completion bits per kernel
-
-
-def reverse_slot(d):
-    return d ^ 1
 
 
 @lru_cache(maxsize=None)
@@ -53,20 +50,25 @@ def ball_paths(delta, t):
     return tuple(paths)
 
 
-def side_paths(delta, t, avoid_first):
-    """Ball paths whose first step is not ``avoid_first``."""
-    return tuple(p for p in ball_paths(delta, t) if not (p and p[0] == avoid_first))
-
-
 @lru_cache(maxsize=None)
 def edge_positions(delta, t, dim):
     """Positions of a radius-t edge ball for an edge of the given dimension:
     ``("P", path)`` for the + endpoint's side (listed first), ``("M", path)``
-    for the - endpoint's side."""
+    for the - endpoint's side, each path taken from its own endpoint.  These
+    are the names ``EdgeTable.from_rule`` rules read."""
     plus_dir = 2 * (dim - 1)
-    near = [("P", p) for p in side_paths(delta, t, plus_dir)]
-    far = [("M", p) for p in side_paths(delta, t, reverse_slot(plus_dir))]
-    return tuple(near + far)
+    paths = ball_paths(delta, t)
+    return tuple([("P", p) for p in paths if p[:1] != (plus_dir,)]
+                 + [("M", p) for p in paths if p[:1] != (plus_dir ^ 1,)])
+
+
+@lru_cache(maxsize=None)
+def edge_ball_paths(delta, t, dim):
+    """``edge_positions`` as paths from the + endpoint: the - endpoint is
+    one ``2(dim-1)`` step away."""
+    plus_dir = 2 * (dim - 1)
+    return tuple(q if side == "P" else (plus_dir,) + q
+                 for side, q in edge_positions(delta, t, dim))
 
 
 def compose(anchor, q):
@@ -79,20 +81,8 @@ def compose(anchor, q):
     return tuple(a) + tuple(q[i:])
 
 
-def translate_edge_coord(node_path, dim, side):
-    """Edge-ball coordinate of a node-ball path taken from endpoint ``side``."""
-    plus_dir = 2 * (dim - 1)
-    if side == "P":
-        if node_path and node_path[0] == plus_dir:
-            return ("M", node_path[1:])
-        return ("P", node_path)
-    if node_path and node_path[0] == reverse_slot(plus_dir):
-        return ("P", node_path[1:])
-    return ("M", node_path)
-
-
 # ---------------------------------------------------------------------------
-# Frames: reindexing one coordinate system inside another
+# Frames: reindexing one ball inside another
 # ---------------------------------------------------------------------------
 
 
@@ -102,7 +92,6 @@ class Frame:
     positions are bit-rearrangements of the conditioned key, free positions
     are enumerated separately (in target-position order)."""
 
-    size: int
     known: tuple              # (target_pos, source_pos) pairs
     free: tuple               # target positions outside the source ball
 
@@ -111,44 +100,29 @@ class Frame:
         return len(self.free)
 
 
-def _classify(source_index, target_abs):
-    known = []
-    free = []
-    for j, coord in enumerate(target_abs):
-        i = source_index.get(coord)
-        if i is None:
-            free.append(j)
-        else:
-            known.append((j, i))
-    return Frame(size=len(target_abs), known=tuple(known), free=tuple(free))
+def _frame(source_paths, target_paths):
+    """The target ball inside the source ball, both given as paths from one
+    anchor node: a target position is known where its path is a source
+    path, and free elsewhere."""
+    index = {p: i for i, p in enumerate(source_paths)}
+    return Frame(known=tuple((j, index[p]) for j, p in enumerate(target_paths) if p in index),
+                 free=tuple(j for j, p in enumerate(target_paths) if p not in index))
 
 
 @lru_cache(maxsize=None)
 def neighbor_frame(delta, t, direction):
     """A neighbor's radius-t node ball inside the center's radius-t ball."""
     center = ball_paths(delta, t)
-    idx = {p: i for i, p in enumerate(center)}
-    abs_list = []
-    for q in center:
-        p = compose((direction,), q)
-        abs_list.append(p if len(p) <= t else ("free", p))
-    return _classify(idx, abs_list)
+    return _frame(center, [compose((direction,), q) for q in center])
 
 
 @lru_cache(maxsize=None)
 def incident_edge_frame(delta, t_center, s_edge, direction):
     """The radius-s ball of the center's ``direction`` edge inside the
     center's radius-t node ball."""
-    dim = direction // 2 + 1
-    center = ball_paths(delta, t_center)
-    idx = {p: i for i, p in enumerate(center)}
-    anchor_p, anchor_m = ((), (direction,)) if direction % 2 == 0 else ((direction,), ())
-    abs_list = []
-    for side, q in edge_positions(delta, s_edge, dim):
-        anchor = anchor_p if side == "P" else anchor_m
-        p = compose(anchor, q)
-        abs_list.append(p if len(p) <= t_center else ("free", side, q))
-    return _classify(idx, abs_list)
+    plus = () if direction % 2 == 0 else (direction,)
+    edge = edge_ball_paths(delta, s_edge, direction // 2 + 1)
+    return _frame(ball_paths(delta, t_center), [compose(plus, q) for q in edge])
 
 
 @lru_cache(maxsize=None)
@@ -156,12 +130,9 @@ def endpoint_completion_frame(delta, t, s_edge, dim, side):
     """An endpoint's radius-t node ball inside the radius-s edge ball: the
     free positions are exactly the completions an edge-based simulation
     enumerates."""
-    edge_idx = {pos: i for i, pos in enumerate(edge_positions(delta, s_edge, dim))}
-    abs_list = []
-    for q in ball_paths(delta, t):
-        coord = translate_edge_coord(q, dim, side)
-        abs_list.append(coord if coord in edge_idx else ("free", side, q))
-    return _classify(edge_idx, abs_list)
+    endpoint = () if side == "P" else (2 * (dim - 1),)
+    return _frame(edge_ball_paths(delta, s_edge, dim),
+                  [compose(endpoint, q) for q in ball_paths(delta, t)])
 
 
 def _check_kernel_bits(frame, b, source_positions):
@@ -346,10 +317,10 @@ def pack_edge_view(g, u, v, t, b, assignment):
     if orient is None:
         raise TotalRuleViolation(f"edge {u}-{v} is not oriented")
     dim, sign = orient
-    plus, minus = (u, v) if sign > 0 else (v, u)
+    plus = u if sign > 0 else v
     key = 0
-    for i, (side, q) in enumerate(edge_positions(g.delta, t, dim)):
-        x = walk_direction_path(g, plus if side == "P" else minus, q)
+    for i, q in enumerate(edge_ball_paths(g.delta, t, dim)):
+        x = walk_direction_path(g, plus, q)
         if x is None:
             raise TotalRuleViolation(f"edge {u}-{v} lacks a full radius-{t} ball")
         key |= assignment.bits[x] << (i * b)

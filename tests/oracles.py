@@ -304,13 +304,15 @@ def _int_rows(rows):
     ``from_edges`` judges them as given).  ``np.fromiter`` would truncate
     a float and parse a string, so the rows' sum first rejects those: it
     raises on a string or a list and comes out a float if any value is one.
-    Rows of values no larger than 1 also go to ``from_edges``, which tells
-    JSON booleans from ints.
+    Rows of values no larger than 1, and rows holding a JSON boolean, also
+    go to ``from_edges``, which tells JSON booleans from ints.
     """
     try:
         widths = set(map(len, rows))
         total = sum(chain.from_iterable(rows))
     except TypeError:
+        return None
+    if bool in map(type, chain.from_iterable(rows)):
         return None
     if type(total) is not int or len(widths) != 1 or not widths <= {4, 6}:
         return None

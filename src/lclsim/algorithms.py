@@ -13,16 +13,15 @@ cyclic graph only the nodes that prefer a cycle are set one by one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
 from .engine import run_node_algorithm
 from .errors import InvalidInputError, InvalidParameterError, PSolverViolation
-from .graph import CycleIndex, frontier_slots, reduce_slots, slot_owners
+from .graph import CycleIndex, frontier_slots, slot_owners
 from .problems import (HomogeneousLabel, PointerLabel, color_array, identity_codes,
-                       label_array)
+                       label_array, other_color_level)
 
 
 # ---------------------------------------------------------------------------
@@ -30,133 +29,31 @@ from .problems import (HomogeneousLabel, PointerLabel, color_array, identity_cod
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RecolorDetail:
-    """Where a node found its closest differently-colored node."""
-
-    target: int
-    dist: int
-    first_port: int           # port of the first step toward the target
-
-
-def weak_to_weak2c(g, phi, k, c, validate=True, detail=True):
+def weak_to_weak2c(g, phi, k, c):
     """Distance-k weak c-coloring -> distance-1 weak 2c-coloring in k rounds.
 
-    Each node locates its closest differently-colored node (ties: smallest
-    color, then lexicographically smallest port path) and appends the
-    parity of that distance to its own color.  Returns the new coloring
-    (colors in [2c]), the round count, and per-node detail for the parity
-    argument check (None with ``detail=False``, which builds no
-    :class:`RecolorDetail`).  All nodes search at once: k sweeps over
-    ``g.csr()`` (:func:`_recolor_sweeps`) give each node the breadth-first
-    search in port-path order whose first level holding another color
-    decides, the smallest (color, port path) of that level winning.
+    Each node appends to its own color the parity of its distance to the
+    closest differently-colored node.  That distance is the verifier's
+    :func:`~lclsim.problems.other_color_level`: k sweeps of the ball minimum
+    and maximum over ``g.csr()``, all nodes at once.  Returns the new
+    coloring (colors in [2c]) and the round count.
     """
-    colors = color_array(g, phi, c) if validate else label_array([phi[v] for v in range(g.n)])
-    target, dist, first_port, missing = _recolor_sweeps(g, colors, k)
+    colors = color_array(g, phi, c)
+    dist = other_color_level(g, colors, k)
+    missing = np.flatnonzero(dist == 0)
     if missing.size:
         raise InvalidInputError(
-            f"not a valid distance-{k} weak {c}-coloring; offenders {missing[:5].tolist()}"
-            if validate else f"node {missing[0]} sees no other color within distance {k}")
-    dist = dist.tolist()
+            f"not a valid distance-{k} weak {c}-coloring; offenders {missing[:5].tolist()}")
     # Python ints: a palette may pass int64
-    new = [(col - 1) * 2 + d % 2 + 1 for col, d in zip(colors.tolist(), dist)]
-    nodes = range(g.n)
-    details = dict(zip(nodes, map(RecolorDetail, target.tolist(), dist,
-                                  first_port.tolist()))) if detail else None
-    return dict(zip(nodes, new)), k, details
+    new = [(col - 1) * 2 + d % 2 + 1 for col, d in zip(colors.tolist(), dist.tolist())]
+    return dict(zip(range(g.n), new)), k
 
 
-# fields of a packed search entry, high to low: distance, first port + 1
-# (0 at the node itself, 5 bits) and the node found (31 bits); one int64
-# orders entries by (distance, first port)
-_PORT_SHIFT = 31
-_DIST_SHIFT = _PORT_SHIFT + 5
-
-
-def _recolor_sweeps(g, colors, k):
-    """Closest differently-colored node of every node, as ``(target, dist,
-    first_port)`` arrays, and the nodes that see no other color within
-    distance k.
-
-    After sweep j each node holds the two smallest distinct colors of its
-    radius-j ball, each with its best entry: the smallest (distance, port
-    path) to a node of that color, packed as (distance, first port,
-    target).  A node's entry for a color comes from its own color or
-    from the neighbors' entries of that color, one step longer and behind
-    the port to that neighbor; the smallest two colors of a ball are among
-    the neighbors' smallest two, and a neighbor's best path to a color
-    continues the best path through it.  The first sweep whose ball holds
-    a second color fixes the node's answer: no other color is closer, so
-    every other color of the ball sits at exactly that distance and the
-    smallest (color, path) is the entry of the smallest color not its own.
-    """
-    indptr, nbr, my_port = g.csr()[:3]
-    rank = np.unique(colors, return_inverse=True)[1].reshape(-1)
-    none = np.iinfo(np.int64).max
-    src = slot_owners(indptr)
-    port_field = np.int64(0x1f) << _PORT_SHIFT
-    step = (np.int64(1) << _DIST_SHIFT) + ((my_port.astype(np.int64) + 1) << _PORT_SHIFT)
-    own = np.arange(g.n, dtype=np.int64)
-    # (color, entry) of the smallest and the second smallest color
-    best = [(rank, own), (np.full(g.n, none), np.full(g.n, none))]
-    found = np.full(g.n, -1, np.int64)
-
-    def smallest(values):
-        return reduce_slots(indptr, np.minimum, values, none)
-
-    def entry_of(col, via):
-        want = np.where(col == none, -1, col)[src]
-        cand = np.minimum(*(np.where(c == want, e, none) for c, e in via))
-        return np.where(rank == col, own, smallest(cand))
-
-    for _ in range(k):
-        # the neighbors' entries, one step longer, behind the port taken
-        via = [(c[nbr], (e[nbr] & ~port_field) + step) for c, e in best]
-        first = np.minimum(rank, smallest(via[0][0]))
-        above = np.minimum(*(np.where(c > first[src], c, none) for c, _ in via))
-        second = np.minimum(np.where(rank > first, rank, none), smallest(above))
-        best = [(first, entry_of(first, via)), (second, entry_of(second, via))]
-        fresh = (found < 0) & (second != none)
-        found[fresh] = np.where(first != rank, best[0][1], best[1][1])[fresh]
-        if (found >= 0).all():
-            break
-    return (found & ((np.int64(1) << _PORT_SHIFT) - 1), found >> _DIST_SHIFT,
-            ((found & port_field) >> _PORT_SHIFT) - 1, np.flatnonzero(found < 0))
-
-
-@dataclass
-class Pseudoforest:
-    """One outgoing pointer per node, toward a differently-colored
-    neighbor; the pointer graph may contain mutual (2-cycle) pairs."""
-
-    out_port: dict
-    parent: dict = field(default_factory=dict)
-
-    @cached_property
-    def children(self):
-        """Node -> the nodes pointing at it, in increasing order."""
-        children = {v: [] for v in self.parent}
-        for v, w in self.parent.items():
-            children[w].append(v)
-        return children
-
-    def pointer_neighbors(self, v):
-        return [self.parent[v]] + self.children[v]
-
-
-def build_pseudoforest(g, phi2):
-    """Each node picks its smallest-port neighbor of a different color
-    (the first such slot of its CSR range)."""
-    out_port, parent = _pseudoforest_arrays(g, label_array([phi2[v] for v in range(g.n)]))
-    nodes = range(g.n)
-    return Pseudoforest(out_port=dict(zip(nodes, out_port.tolist())),
-                        parent=dict(zip(nodes, parent.tolist())))
-
-
-def _pseudoforest_arrays(g, colors):
-    """:func:`build_pseudoforest` on a color array, as ``(out_port,
-    parent)`` arrays."""
+def build_pseudoforest(g, colors):
+    """One outgoing pointer per node, toward a differently-colored neighbor:
+    each node picks the first such slot of its CSR range (its smallest
+    port).  Mutual (2-cycle) pairs may occur.  Returns the ``(out_port,
+    parent)`` arrays of the color array ``colors``."""
     indptr, nbr, my_port = g.csr()[:3]
     src = slot_owners(indptr)
     slots = np.flatnonzero(colors[nbr] != colors[src])
@@ -187,78 +84,52 @@ def _cole_vishkin_steps(own, parent):
     return 2 * i + ((own >> i) & 1)
 
 
-def _pointer_arrays(pf, labels):
-    """The nodes of ``labels`` (in its order), their values as an array and
-    the position of each node's pointer target among them."""
-    nodes = list(labels)
-    values = label_array([labels[v] for v in nodes])
-    parents = [pf.parent[v] for v in nodes]
-    if nodes != list(range(len(nodes))):
-        pos = {v: i for i, v in enumerate(nodes)}
-        parents = [pos[w] for w in parents]
-    return nodes, values, np.array(parents, np.int64).reshape(-1)
-
-
-def cole_vishkin_reduce(pf, colors, c_prime):
-    """Reduce a coloring that is proper along the pointers to 3 colors.
+def cole_vishkin_reduce(x, parent, c_prime):
+    """Reduce a 0-based coloring ``x`` of a palette of ``c_prime`` colors,
+    proper along the pointers of the ``parent`` array, to the colors
+    {0, 1, 2}.
 
     Iterated bit-index relabeling against the pointer target until at most
     6 colors remain, then three shift-down-and-recolor passes eliminate
-    colors 6, 5, 4 (1-based).  Properness along pointers holds after every
-    step.  Every step relabels all nodes at once over the parent array
-    (:func:`_cole_vishkin`).  Returns (coloring in {1,2,3}, rounds).
+    colors 5, 4, 3.  Properness along pointers holds after every step, and
+    every step relabels all nodes at once.  Returns (coloring, rounds).
     """
-    nodes, x, par = _pointer_arrays(pf, {v: col - 1 for v, col in colors.items()})
-    x, rounds = _cole_vishkin(nodes, x, par, c_prime)
-    return dict(zip(nodes, (x + 1).tolist())), rounds
-
-
-def _cole_vishkin(nodes, x, par, c_prime):
-    """:func:`cole_vishkin_reduce` on the 0-based color array ``x`` of
-    ``nodes`` and the position of each one's pointer target; the colors
-    it returns are 0-based too."""
-    agree = np.flatnonzero(x == x[par])
+    agree = np.flatnonzero(x == x[parent])
     if agree.size:
-        raise InvalidInputError(f"colors of {nodes[agree[0]]} and its pointer target agree")
+        raise InvalidInputError(f"colors of {agree[0]} and its pointer target agree")
     rounds = 0
     bound = c_prime
     while bound > 6:
-        x = _cole_vishkin_steps(x, x[par])
+        x = _cole_vishkin_steps(x, x[parent])
         bound = 2 * max(bound - 1, 1).bit_length()
         rounds += 1
     # the skip below depends only on the declared palette, never on the
     # realized colors: the round count must be the same at every node
     if c_prime > 3:
         for target in (5, 4, 3):
-            shifted = x[par]
-            a, b = shifted[par], x
+            shifted = x[parent]
+            a, b = shifted[parent], x
             free = np.where((a != 0) & (b != 0), 0, np.where((a != 1) & (b != 1), 1, 2))
             x = np.where(shifted == target, free, shifted)
             rounds += 2
     return x, rounds
 
 
-def mis_to_weak2(pf, psi):
-    """Greedy maximal independent set on the pointer graph by color classes
-    1, 2, 3; members get label 1, the rest label 2.  Three rounds.  A
-    proper 3-coloring along the pointers makes each class independent, so
-    a class joins at once: every member without a joined pointer neighbor
-    (its target or a node pointing at it)."""
-    nodes, col, par = _pointer_arrays(pf, psi)
-    return dict(zip(nodes, _mis(nodes, col, par).tolist())), 3
-
-
-def _mis(nodes, col, par):
-    """:func:`mis_to_weak2`'s labels as an array, from the color array of
-    ``nodes`` and the position of each one's pointer target."""
-    clash = np.flatnonzero(np.isin(col, (1, 2, 3)) & (col == col[par]))
+def mis_to_weak2(psi, parent):
+    """Greedy maximal independent set on the pointer graph of the ``parent``
+    array by color classes 1, 2, 3 of ``psi``; members get label 1, the
+    rest label 2 (an array).  Three rounds.  A proper 3-coloring along the
+    pointers makes each class independent, so a class joins at once: every
+    member without a joined pointer neighbor (its target or a node pointing
+    at it)."""
+    clash = np.flatnonzero(np.isin(psi, (1, 2, 3)) & (psi == psi[parent]))
     if clash.size:
-        raise InvalidInputError(f"colors of {nodes[clash[0]]} and its pointer target agree")
-    joined = np.zeros(len(nodes), bool)
+        raise InvalidInputError(f"colors of {clash[0]} and its pointer target agree")
+    joined = np.zeros(len(psi), bool)
     for cls in (1, 2, 3):
-        pointed_at = np.zeros(len(nodes), bool)
-        pointed_at[par[joined]] = True
-        joined |= (col == cls) & ~joined[par] & ~pointed_at
+        pointed_at = np.zeros(len(psi), bool)
+        pointed_at[parent[joined]] = True
+        joined |= (psi == cls) & ~joined[parent] & ~pointed_at
     return np.where(joined, 1, 2)
 
 
@@ -279,19 +150,19 @@ def weak_family_to_weak2(g, phi, k, c):
     """Distance-k weak c-coloring -> weak 2-coloring, constant extra rounds.
 
     Four stages, each a whole-array LOCAL algorithm: recolor by the parity
-    of the distance to the closest other color (k frontier sweeps), point
+    of the distance to the closest other color (k min/max sweeps), point
     at the smallest-port neighbor of another color, Cole-Vishkin down to 3
     colors over the parent array, then the greedy MIS one color class at a
     time.  The stages hand arrays to each other; dicts are built only for
     the result.
     """
-    phi2, r_recolor, _ = weak_to_weak2c(g, phi, k, c, detail=False)
+    phi2, r_recolor = weak_to_weak2c(g, phi, k, c)
     nodes = range(g.n)
     colors = label_array(list(phi2.values()))
-    out_port, parent = _pseudoforest_arrays(g, colors)
-    psi, r_cv = _cole_vishkin(nodes, colors - 1, parent, 2 * c)
+    out_port, parent = build_pseudoforest(g, colors)
+    psi, r_cv = cole_vishkin_reduce(colors - 1, parent, 2 * c)
     psi += 1
-    labels = _mis(nodes, psi, parent)
+    labels = mis_to_weak2(psi, parent)
     stage_rounds = {"recolor": r_recolor, "pseudoforest": 1,
                     "color-reduction": r_cv, "mis": 3}
     return PipelineResult(labels=dict(zip(nodes, labels.tolist())),

@@ -82,12 +82,12 @@ def zero_round_optimum(c, delta):
     """
     if c < 1:
         raise InvalidParameterError("palette size must be >= 1")
+    if delta < 1:
+        raise InvalidParameterError("delta must be >= 1")
     if c == 1:
         return ZeroRoundOptimum(c=1, delta=delta, closed_form=Fraction(1),
                                 uniform=(1.0,), numeric_minimum=1.0,
                                 numeric_argmin=(1.0,), iterations=0)
-    if delta < 1:
-        raise InvalidParameterError("delta must be >= 1")
     x = np.arange(1.0, c + 1.0)
     x /= x.sum()
     for steps in range(1, ZERO_ROUND_ITERATIONS + 1):
@@ -138,6 +138,8 @@ def recurrence_bound(c0, p0, t, delta=4):
     """
     if c0 < 1 or t < 0:
         raise InvalidParameterError("need c0 >= 1 and t >= 0")
+    if delta < 1:
+        raise InvalidParameterError("delta must be >= 1")
     p0 = Fraction(p0)
     if not 0 <= p0 <= 1:
         raise InvalidParameterError("p0 must be a probability")

@@ -254,7 +254,7 @@ def cmd_run(args):
         else:
             phi = random_valid_weak_coloring(g, args.c, args.k, args.seed)
         if args.algorithm == "weak-to-weak2c":
-            phi2, rounds, _ = weak_to_weak2c(g, phi, args.k, args.c, detail=False)
+            phi2, rounds = weak_to_weak2c(g, phi, args.k, args.c)
             results = verify_weak_coloring(g, phi2, 2 * args.c, 1)
             payload = {"labels": NodeMap(phi2), "rounds": rounds}
             problem = f"weak-{2 * args.c}-coloring(distance 1)"
@@ -306,8 +306,10 @@ def cmd_run(args):
         print(f"verification FAILED at {len(report['fail_nodes'])} nodes",
               file=sys.stderr)
         return EXIT_VERIFICATION
-    print(f"{problem}: all {report['pass_count']} nodes pass "
-          f"(rounds={payload.get('rounds', 'n/a')})", file=_summary_stream(args.out))
+    summary = f"all {report['pass_count']} nodes pass (rounds={payload.get('rounds', 'n/a')})"
+    if payload.get("labeled") == 0:
+        summary = f"no node labeled within r={args.r}; nothing judged"
+    print(f"{problem}: {summary}", file=_summary_stream(args.out))
     return EXIT_OK
 
 
@@ -377,6 +379,8 @@ def _emit_table(rows, header, args):
 def cmd_bounds(args):
     if args.calculator == "recurrence":
         rows, p0 = [], parse_fraction(args.p0, "--p0")
+        if args.t < 0:   # the loop below would take no t at all
+            raise InvalidParameterError("need c0 >= 1 and t >= 0")
         for t in range(args.t, -1, -1):   # the largest first: past the budget fails at once
             rb = recurrence_bound(args.c0, p0, t, args.delta)
             rows.append({"c0": args.c0, "t": t, "delta": args.delta,

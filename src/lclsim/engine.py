@@ -63,9 +63,6 @@ class Assignment:
             ids = dict(zip(range(g.n), vals))
         return cls(b=b, bits=bits, ids=ids)
 
-    def with_bits(self, bits):
-        return Assignment(b=self.b, bits=bits, ids=self.ids)
-
 
 @dataclass
 class LocalAlgorithm:

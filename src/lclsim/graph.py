@@ -1072,9 +1072,3 @@ def independent_execution_set(g, v, t, k):
             raise InvalidInstanceError("straight walk left the tree")
         result.update(x for x, _ in frontier)
     return result
-
-
-def independent_set_size_formula(delta, steps):
-    """Closed-form size of the extension set after the given steps."""
-    shell = delta * (delta - 1) ** 6
-    return shell * sum((delta - 1) ** i for i in range(1, steps + 1))

@@ -122,9 +122,6 @@ class View:
     def ident(self, node):
         return self.payload(node)[1]
 
-    def input_label(self, node):
-        return self.payload(node)[2]
-
     @property
     def center_node(self):
         if self.center_kind != "node":

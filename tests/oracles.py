@@ -6,8 +6,9 @@ per-node rules the whole-array LOCAL rounds replaced (``pointer_happy``,
 ``_closest_other_color``, the weak-coloring oracles), the dict BFS behind the
 leaf-free check, the ``json.load`` path every graph file was read through,
 the string-keyed copy ``run`` wrote its label maps through, the eager view
-encoding, the per-draw seeded draws, the weak-2 pipeline's dict handoff
-between stages, and small graph, bound and enumeration helpers.  The per-point speedup sweep
+encoding, the per-draw seeded draws, the per-node weak-2 stages and
+their dict handoff, the methods and formula only tests call, and small
+graph, bound and enumeration helpers.  The per-point speedup sweep
 is the one exception: its loop is unchanged, but it calls the construction's
 kernels on masks it thresholds itself.  Tests import them as they import
 ``conftest``.
@@ -21,12 +22,11 @@ from itertools import chain
 import mpmath
 import numpy as np
 
-from lclsim.algorithms import (PipelineResult, build_pseudoforest, cole_vishkin_reduce,
-                               mis_to_weak2, weak_to_weak2c)
+from lclsim.algorithms import PipelineResult, cole_vishkin_step
 from lclsim.bounds import PRECISION_BITS
 from lclsim.cli import REPAIR_PASSES, NodeMap
 from lclsim.engine import ENUM_BUDGET_BITS, Assignment, require_interior
-from lclsim.errors import (BudgetExceededError, InvalidInputError,
+from lclsim.errors import (BudgetExceededError, InvalidInputError, InvalidLabelingError,
                            InvalidInstanceError, InvalidParameterError)
 from lclsim.graph import (FORMAT_NAME, FORMAT_VERSION, PortedGraph,
                           ball_irregularities, bfs_distances, bfs_levels,
@@ -95,18 +95,91 @@ def pointer_terminal_degrees(g, start):
     return out
 
 
+def oracle_verify_weak_coloring(g, phi, c, k):
+    for v in range(g.n):
+        col = phi[v]
+        if isinstance(col, bool) or not isinstance(col, int) or not 1 <= col <= c:
+            raise InvalidLabelingError(f"color {col!r} of node {v} outside 1..{c}")
+    return {v: _sees_other_color(g, v, phi, k) for v in range(g.n)}
+
+
+def oracle_weak_to_weak2c(g, phi, k, c):
+    results = oracle_verify_weak_coloring(g, phi, c, k)
+    bad = [v for v, ok in results.items() if not ok]
+    if bad:
+        raise InvalidInputError(
+            f"not a valid distance-{k} weak {c}-coloring; offenders {bad[:5]}")
+    out = {}
+    for v in range(g.n):
+        _, dist, _ = _closest_other_color(g, v, phi, k)
+        out[v] = (phi[v] - 1) * 2 + (dist % 2) + 1
+    return out, k
+
+
+def oracle_build_pseudoforest(g, phi2):
+    """(out_port, parent, children) dicts."""
+    out_port = {}
+    for v in range(g.n):
+        for u, mp, _ in g.neighbors(v):
+            if phi2[u] != phi2[v]:
+                out_port[v] = mp
+                break
+        else:
+            raise InvalidInputError(f"node {v} has no differently-colored neighbor")
+    parent = {v: g.neighbor_by_port(v, p) for v, p in out_port.items()}
+    children = {v: [] for v in out_port}
+    for v, w in parent.items():
+        children[w].append(v)
+    return out_port, parent, children
+
+
+def oracle_cole_vishkin_reduce(parent, colors, c_prime):
+    x = {v: colors[v] - 1 for v in colors}
+    for v, w in parent.items():
+        if x[v] == x[w]:
+            raise InvalidInputError(f"colors of {v} and its pointer target agree")
+    rounds = 0
+    bound = c_prime
+    while bound > 6:
+        x = {v: cole_vishkin_step(x[v], x[parent[v]]) for v in x}
+        bound = 2 * max(bound - 1, 1).bit_length()
+        rounds += 1
+    if c_prime > 3:
+        for target in (5, 4, 3):
+            shifted = {v: x[parent[v]] for v in x}
+            new = dict(shifted)
+            for v, col in shifted.items():
+                if col == target:
+                    avoid = {shifted[parent[v]], x[v]}
+                    new[v] = min(set(range(3)) - avoid)
+            x = new
+            rounds += 2
+    return {v: col + 1 for v, col in x.items()}, rounds
+
+
+def oracle_mis_to_weak2(parent, children, psi):
+    joined = set()
+    for cls in (1, 2, 3):
+        for v, col in psi.items():
+            if col == cls and not any(u in joined
+                                      for u in [parent[v]] + children[v]):
+                joined.add(v)
+    return {v: 1 if v in joined else 2 for v in psi}, 3
+
+
 def weak_family_to_weak2_dict_stages(g, phi, k, c):
-    """The weak-2 pipeline with each stage handing the next a dict."""
-    phi2, r_recolor, _ = weak_to_weak2c(g, phi, k, c)
-    pf = build_pseudoforest(g, phi2)
-    psi, r_cv = cole_vishkin_reduce(pf, phi2, 2 * c)
-    labels, r_mis = mis_to_weak2(pf, psi)
+    """The weak-2 pipeline as a chain of the per-node stage oracles, each
+    handing the next a dict."""
+    phi2, r_recolor = oracle_weak_to_weak2c(g, phi, k, c)
+    out_port, parent, children = oracle_build_pseudoforest(g, phi2)
+    psi, r_cv = oracle_cole_vishkin_reduce(parent, phi2, 2 * c)
+    labels, r_mis = oracle_mis_to_weak2(parent, children, psi)
     stage_rounds = {"recolor": r_recolor, "pseudoforest": 1,
                     "color-reduction": r_cv, "mis": r_mis}
     return PipelineResult(labels=labels,
                           rounds=sum(stage_rounds.values()),
                           stage_rounds=stage_rounds, recolored=phi2,
-                          pseudoforest_ports=pf.out_port, three_coloring=psi)
+                          pseudoforest_ports=out_port, three_coloring=psi)
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +198,11 @@ def _unfold(g, node, prev, depth, assignment, inputs):
         kids.append(((mp, up, d, s), _unfold(g, u, node, depth - 1, assignment, inputs)))
     kids.sort(key=lambda kv: kv[0])
     return (pay, tuple(kids))
+
+
+def input_label(view, node):
+    """The input label of ``node`` in ``view`` (was ``View.input_label``)."""
+    return view.payload(node)[2]
 
 
 def eager_view_encoding(g, center, t, assignment=None, inputs=None):
@@ -148,6 +226,12 @@ def eager_view_encoding(g, center, t, assignment=None, inputs=None):
 def randrange_draws(rng, top, count):
     """``count`` draws of ``rng.randrange(top)``, one call each."""
     return [rng.randrange(top) for _ in range(count)]
+
+
+def with_bits(assignment, bits):
+    """``assignment`` with other bits, the same ids (was
+    ``Assignment.with_bits``)."""
+    return Assignment(b=assignment.b, bits=bits, ids=assignment.ids)
 
 
 def assignment_random(g, b, seed, with_ids=False):
@@ -383,6 +467,12 @@ def closest_irregularity(g, v, r, ids=None):
     if cyc[1].effective_distance <= low[1].effective_distance:
         return cyc[1]
     return low[1]
+
+
+def independent_set_size_formula(delta, steps):
+    """Closed-form size of the extension set after the given steps."""
+    shell = delta * (delta - 1) ** 6
+    return shell * sum((delta - 1) ** i for i in range(1, steps + 1))
 
 
 # ---------------------------------------------------------------------------

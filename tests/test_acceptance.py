@@ -17,7 +17,7 @@ from lclsim.engine import Assignment
 from lclsim.graph import (bfs_distances, edge_key,
                           gen_balanced_tree, gen_cycle, gen_regular_tree,
                           gen_symlower_pair, independent_execution_set,
-                          independent_set_size_formula, plant_irregularities)
+                          plant_irregularities)
 from lclsim.problems import (HomogeneousLabel, PointerLabel,
                              verify_homogeneous, verify_pointer_labeling,
                              verify_weak_coloring,
@@ -30,8 +30,9 @@ from lclsim.speedup import (SpeedupConfig, ball_parity_node_algorithm,
                             random_node_algorithm, verify_speedup_inequality,
                             xor_edge_algorithm)
 from lclsim.views import extract_view
-from oracles import (closest_irregularity, pointer_terminal_degrees,
-                     verify_weak_coloring_oracle, verify_weak_edge_coloring_oracle)
+from oracles import (closest_irregularity, independent_set_size_formula,
+                     pointer_terminal_degrees, verify_weak_coloring_oracle,
+                     verify_weak_edge_coloring_oracle)
 
 
 def report(num, desc, ok, extra=""):

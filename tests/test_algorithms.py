@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from conftest import random_tree
@@ -15,9 +16,9 @@ from lclsim.errors import InvalidInputError, InvalidParameterError, PSolverViola
 from lclsim.graph import (PortedGraph, bfs_distances,
                           gen_balanced_tree, gen_cycle, gen_regular_tree,
                           gen_symlower_pair, plant_irregularities)
-from lclsim.problems import (HomogeneousLabel, verify_homogeneous, verify_pointer_labeling,
-                             verify_weak_coloring)
-from oracles import closest_irregularity, pointer_terminal_degrees
+from lclsim.problems import (HomogeneousLabel, other_color_level, verify_homogeneous,
+                             verify_pointer_labeling, verify_weak_coloring)
+from oracles import _closest_other_color, closest_irregularity, pointer_terminal_degrees
 
 
 def path_graph(n):
@@ -28,11 +29,12 @@ def path_graph(n):
 def test_recolor_hand_trace():
     g = path_graph(3)
     phi = {0: 1, 1: 1, 2: 2}
-    phi2, rounds, detail = weak_to_weak2c(g, phi, 2, 2)
+    phi2, rounds = weak_to_weak2c(g, phi, 2, 2)
     # (color, parity) encoded as (color-1)*2 + parity + 1
     assert phi2 == {0: 1, 1: 2, 2: 4}
     assert rounds == 2
-    assert detail[0].dist == 2 and detail[1].dist == 1
+    dist = other_color_level(g, np.array([1, 1, 2]), 2)
+    assert dist[0] == 2 and dist[1] == 1
     assert phi2[0] != phi2[1]
 
 
@@ -50,29 +52,28 @@ def test_recolor_parity_argument():
         g = random_tree(rng.randrange(10, 150), 4, seed=trial)
         c, k = rng.randrange(2, 5), rng.randrange(1, 4)
         phi = random_valid_weak_coloring(g, c, k, seed=trial)
-        phi2, _, detail = weak_to_weak2c(g, phi, k, c)
+        phi2, _ = weak_to_weak2c(g, phi, k, c)
         for v in range(g.n):
-            det = detail[v]
-            if det.dist >= 2:
-                w = g.neighbor_by_port(v, det.first_port)
+            _, dist, first_port = _closest_other_color(g, v, phi, k)
+            if dist >= 2:
+                w = g.neighbor_by_port(v, first_port)
                 assert phi2[v] != phi2[w]
         assert all(verify_weak_coloring(g, phi2, 2 * c, 1).values())
 
 
 def test_pseudoforest_examples():
     g = path_graph(2)
-    pf = build_pseudoforest(g, {0: 1, 1: 2})
-    assert pf.parent == {0: 1, 1: 0}  # mutual pointers on a 2-colored edge
+    _, parent = build_pseudoforest(g, np.array([1, 2]))
+    assert parent.tolist() == [1, 0]  # mutual pointers on a 2-colored edge
 
     star = gen_regular_tree(4, 1)
-    colors = {0: 1, 1: 2, 2: 3, 3: 4, 4: 5}
-    pf2 = build_pseudoforest(star, colors)
-    assert pf2.out_port[0] == 0  # smallest port wins
-    for v, w in pf2.parent.items():
-        assert colors[v] != colors[w]
+    colors = np.array([1, 2, 3, 4, 5])
+    out_port, parent = build_pseudoforest(star, colors)
+    assert out_port[0] == 0  # smallest port wins
+    assert (colors != colors[parent]).all()
 
     with pytest.raises(InvalidInputError):
-        build_pseudoforest(star, {v: 1 for v in range(star.n)})
+        build_pseudoforest(star, np.ones(star.n, np.int64))
 
 
 def test_cole_vishkin_single_step():
@@ -82,9 +83,10 @@ def test_cole_vishkin_single_step():
 
 def test_cole_vishkin_fixed_point():
     g = path_graph(4)
-    pf = build_pseudoforest(g, {0: 1, 1: 2, 2: 1, 3: 2})
-    psi, rounds = cole_vishkin_reduce(pf, {0: 1, 1: 2, 2: 1, 3: 2}, 3)
-    assert psi == {0: 1, 1: 2, 2: 1, 3: 2}
+    colors = np.array([1, 2, 1, 2])
+    _, parent = build_pseudoforest(g, colors)
+    psi, rounds = cole_vishkin_reduce(colors - 1, parent, 3)
+    assert (psi + 1).tolist() == [1, 2, 1, 2]
     assert rounds == 0
 
 
@@ -98,25 +100,28 @@ def test_cole_vishkin_properness_every_iteration():
         for v in range(n):
             taken = {colors.get(u) for u in g.adjacent(v)}
             colors[v] = next(x for x in range(1, c + 1) if x not in taken)
-        pf = build_pseudoforest(g, colors)
+        array = np.array(list(colors.values()))
+        _, parent = build_pseudoforest(g, array)
+        parent = parent.tolist()
         # replay the reduction step by step, checking properness throughout
         x = {v: colors[v] - 1 for v in colors}
         bound = c
         while bound > 6:
-            x = {v: cole_vishkin_step(x[v], x[pf.parent[v]]) for v in x}
-            assert all(x[v] != x[pf.parent[v]] for v in x)
+            x = {v: cole_vishkin_step(x[v], x[parent[v]]) for v in x}
+            assert all(x[v] != x[parent[v]] for v in x)
             bound = 2 * max(bound - 1, 1).bit_length()
-        psi, _ = cole_vishkin_reduce(pf, colors, c)
-        assert set(psi.values()) <= {1, 2, 3}
-        assert all(psi[v] != psi[pf.parent[v]] for v in psi)
+        psi, _ = cole_vishkin_reduce(array - 1, np.array(parent), c)
+        psi = (psi + 1).tolist()
+        assert set(psi) <= {1, 2, 3}
+        assert all(psi[v] != psi[parent[v]] for v in range(n))
 
 
 def test_mis_single_edge():
     g = path_graph(2)
-    pf = build_pseudoforest(g, {0: 1, 1: 2})
-    labels, rounds = mis_to_weak2(pf, {0: 1, 1: 2})
-    assert sorted(labels.values()) == [1, 2]
-    assert rounds == 3
+    _, parent = build_pseudoforest(g, np.array([1, 2]))
+    labels = mis_to_weak2(np.array([1, 2]), parent)
+    assert sorted(labels.tolist()) == [1, 2]
+    assert weak_family_to_weak2(g, {0: 1, 1: 2}, 1, 2).stage_rounds["mis"] == 3
 
 
 def test_mis_maximal_independent():
@@ -124,14 +129,16 @@ def test_mis_maximal_independent():
     for trial in range(20):
         g = random_tree(rng.randrange(10, 200), 4, seed=trial + 900)
         phi = random_valid_weak_coloring(g, 3, 1, seed=trial)
-        phi2, _, _ = weak_to_weak2c(g, phi, 1, 3)
-        pf = build_pseudoforest(g, phi2)
-        psi, _ = cole_vishkin_reduce(pf, phi2, 6)
-        labels, _ = mis_to_weak2(pf, psi)
-        mis = {v for v, lab in labels.items() if lab == 1}
+        phi2, _ = weak_to_weak2c(g, phi, 1, 3)
+        colors = np.array(list(phi2.values()))
+        _, parent = build_pseudoforest(g, colors)
+        psi, _ = cole_vishkin_reduce(colors - 1, parent, 6)
+        labels = mis_to_weak2(psi + 1, parent)
+        mis = set(np.flatnonzero(labels == 1).tolist())
         # brute independence and maximality on the pointer graph
+        parent = parent.tolist()
         for v in range(g.n):
-            nbrs = pf.pointer_neighbors(v)
+            nbrs = [parent[v]] + [u for u in range(g.n) if parent[u] == v]
             if v in mis:
                 assert not any(u in mis for u in nbrs)
             else:
@@ -181,7 +188,7 @@ def test_pipeline_packaged_as_local_algorithm():
     stage is recomputed inside the view on a horizon that shrinks by the
     stage's round cost."""
     from lclsim.engine import run_node_algorithm
-    from oracles import _closest_other_color, induced_subgraph
+    from oracles import induced_subgraph, input_label
 
     k, c = 1, 2
     g = gen_balanced_tree(3, 5)
@@ -192,7 +199,7 @@ def test_pipeline_packaged_as_local_algorithm():
     def rule(view):
         sub, remap = induced_subgraph(view.graph, view.nodes)
         center = remap[view.center_node]
-        colors = {remap[v]: view.input_label(v) for v in view.nodes}
+        colors = {remap[v]: input_label(view, v) for v in view.nodes}
         dist = bfs_distances(sub, center)
 
         def dom(h):

@@ -112,9 +112,18 @@ def test_zero_round_optimum_large_delta(delta):
 
 
 def test_zero_round_optimum_rejects_delta_below_one():
-    for delta in (0, -1):
-        with pytest.raises(InvalidParameterError):
-            zero_round_optimum(2, delta)
+    for c in (1, 2):
+        for delta in (0, -1):
+            with pytest.raises(InvalidParameterError):
+                zero_round_optimum(c, delta)
+
+
+def test_recurrence_rejects_delta_below_one():
+    """Below 1 the base's denominator (delta+1) c0 is 0 or negative: a
+    division by zero, or a "bound" past 1 or below 0."""
+    for delta in (0, -1, -2, -3):
+        with pytest.raises(InvalidParameterError, match="delta must be >= 1"):
+            recurrence_bound(2, Fraction(1, 16), 1, delta)
 
 
 def test_recurrence_past_the_budget_raises_before_computing():

@@ -351,12 +351,32 @@ def test_config_with_other_flags_rejected(tmp_path, capsys):
     (["speedup", "--direction", "1", "--f", "1/0"], "--f 1/0: the denominator is zero"),
     (["bounds", "recurrence", "--p0", "1/0"], "--p0 1/0: the denominator is zero"),
     (["speedup", "--direction", "1", "--grid", "-5"], "--grid -5"),
-], ids=["f", "p0", "negative-grid"])
+    (["bounds", "recurrence", "--delta", "-1", "--t", "1"], "delta must be >= 1"),
+    (["bounds", "recurrence", "--delta", "-3", "--t", "1"], "delta must be >= 1"),
+    (["bounds", "recurrence", "--delta", "-2", "--t", "0"], "delta must be >= 1"),
+    (["bounds", "recurrence", "--t", "-2"], "need c0 >= 1 and t >= 0"),
+    (["bounds", "zero-round", "--c", "1", "--delta", "-1"], "delta must be >= 1"),
+], ids=["f", "p0", "negative-grid", "recurrence-delta-1", "recurrence-delta-3",
+        "recurrence-delta-2-t0", "recurrence-negative-t", "zero-round-c1-delta-1"])
 def test_malformed_numbers_exit_config(tmp_path, capsys, argv, message):
     out = tmp_path / "o.json"
     assert run_cli(argv + ["--out", str(out)]) == 2
     assert not out.exists()
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_monochromatic_coloring_exits_config(tmp_path, capsys):
+    cycle = tmp_path / "c5.json"
+    assert run_cli(["gen", "cycle", "--n", "5", "--out", str(cycle)]) == 0
+    col = tmp_path / "mono.json"
+    col.write_text(json.dumps({str(v): 1 for v in range(5)}))
+    assert run_cli(["run", "--algorithm", "weak-to-weak2c", "--k", "1", "--c", "2",
+                    "--graph", str(cycle), "--coloring", str(col),
+                    "--out", str(tmp_path / "o.json")]) == 2
+    assert not (tmp_path / "o.json").exists()
+    assert "not a valid distance-1 weak 2-coloring; offenders [0, 1, 2, 3, 4]" in \
+        capsys.readouterr().err
 
 
 def test_grid_zero_evaluates_no_grid(tmp_path):

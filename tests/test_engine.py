@@ -13,7 +13,7 @@ from lclsim.errors import (BudgetExceededError, InvalidInputError,
                            InvalidInstanceError, TotalRuleViolation)
 from lclsim.graph import gen_cycle, gen_regular_tree
 from lclsim.views import extract_view
-from oracles import enumerate_assignments
+from oracles import enumerate_assignments, with_bits
 
 
 def own_bit_rule(view):
@@ -77,7 +77,7 @@ def test_locality_mutation():
     for _ in range(10):
         bits = dict(a.bits)
         bits[rng.choice(far)] ^= 1
-        after = alg.evaluate(extract_view(g, 0, 1, a.with_bits(bits)))
+        after = alg.evaluate(extract_view(g, 0, 1, with_bits(a, bits)))
         assert after == before
 
 

@@ -18,7 +18,7 @@ from lclsim.graph import (bfs_distances, edge_key, gen_balanced_tree,
 from lclsim.speedup import (as_local_algorithm, random_edge_algorithm,
                             random_node_algorithm)
 from lclsim.views import extract_view
-from oracles import enumerate_assignments
+from oracles import enumerate_assignments, input_label
 
 
 def _labels_for_predicate(g, alg, v, assignment, inputs):
@@ -165,7 +165,7 @@ def test_with_inputs():
 
     def rule(view):
         c = view.center_node
-        return (view.input_label(c), view.bits(c) & 1)
+        return (input_label(view, c), view.bits(c) & 1)
 
     node = LocalAlgorithm(rounds=1, kind="node", rule=rule)
     assert_same(g, node, weak_coloring_failure, b=1, inputs=inputs)

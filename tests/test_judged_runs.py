@@ -4,8 +4,8 @@
   verdicts on the nodes it labels.
 - A JSON boolean inside a list edge row is rejected (exit 2), not read as
   the integer 1.
-- ``weak_to_weak2c`` finds the nodes that see no other color within
-  distance k in its one set of recolor sweeps, validating or not.
+- ``weak_to_weak2c`` names the nodes that see no other color within
+  distance k, from the verifier's own sweeps.
 """
 
 import json
@@ -74,6 +74,22 @@ def test_local_run_fails_where_the_verifier_does(tmp_path, capsys, monkeypatch):
     assert doc["report"]["pass_count"] == doc["labeled"] - 1
 
 
+@pytest.mark.parametrize("r", [0, 2, 4])
+def test_local_run_that_labels_nothing_says_so(tmp_path, capsys, r):
+    """On a 9-cycle no node sees an irregularity within r <= 4: the summary
+    says that nothing was judged instead of reading as a pass, and the
+    exit code stays 0."""
+    path = tmp_path / "c9.json"
+    gen_cycle(9).save(path)
+    out = tmp_path / "o.json"
+    assert main(["run", "--algorithm", "solve-pointers-local", "--graph", str(path),
+                 "--r", str(r), "--out", str(out)]) == 0
+    summary = capsys.readouterr().out
+    assert summary == f"pointer-labeling(local): no node labeled within r={r}; nothing judged\n"
+    doc = json.loads(out.read_text())
+    assert doc["labeled"] == doc["report"]["pass_count"] == 0 and doc["labels"] == {}
+
+
 BOOL_ROWS = [
     ([[0, 1, 0, 0], [1, 2, True, 0], [2, 3, 1, 0]], 1),
     ([(0, 1, 0, 0, 1, 1), (1, 2, 1, 0, 1, False), (2, 3, 1, 0, 1, 1)], 1),
@@ -116,13 +132,11 @@ def test_recolor_names_the_nodes_that_see_no_other_color(seed):
     for g, phi, k, c in colorings(seed):
         bad = [v for v in range(g.n) if not _sees_other_color(g, v, phi, k)]
         if not bad:
-            assert weak_to_weak2c(g, phi, k, c)[0] == weak_to_weak2c(g, phi, k, c, False)[0]
+            weak_to_weak2c(g, phi, k, c)
             continue
         faults += 1
-        for validate, message in (
-                (True, f"not a valid distance-{k} weak {c}-coloring; offenders {bad[:5]}"),
-                (False, f"node {bad[0]} sees no other color within distance {k}")):
-            with pytest.raises(InvalidInputError) as exc:
-                weak_to_weak2c(g, phi, k, c, validate)
-            assert str(exc.value) == message
+        with pytest.raises(InvalidInputError) as exc:
+            weak_to_weak2c(g, phi, k, c)
+        assert str(exc.value) == \
+            f"not a valid distance-{k} weak {c}-coloring; offenders {bad[:5]}"
     assert faults

@@ -1,10 +1,10 @@
 """Differential tests of the whole-array LOCAL rounds.
 
 The per-node versions they replaced (the heap low-degree map, the tree
-labeling loop, the per-node recolor search, the dict pseudoforest,
-Cole-Vishkin and greedy MIS, and the per-node verifiers) are kept here as
-the oracles: every pass must give the same values, and every input the
-oracle rejects must be rejected with the same class and message.
+labeling loop and the per-node verifiers here; the per-node recolor search,
+the dict pseudoforest, Cole-Vishkin and greedy MIS in ``oracles``) are the
+oracles: every pass must give the same values, and every input the oracle
+rejects must be rejected with the same class and message.
 """
 
 import heapq
@@ -14,19 +14,20 @@ import numpy as np
 import pytest
 
 from conftest import random_graph, random_tree
-from lclsim.algorithms import (Pseudoforest, RecolorDetail,
-                               _low_degree_map, _pointer_labels, build_pseudoforest,
-                               cole_vishkin_reduce, cole_vishkin_step, mis_to_weak2,
+from lclsim.algorithms import (_low_degree_map, _pointer_labels, build_pseudoforest,
+                               cole_vishkin_reduce, mis_to_weak2,
                                solve_pointer_labeling, weak_family_to_weak2,
                                weak_to_weak2c)
 from lclsim.cli import random_valid_weak_coloring
 from lclsim.engine import Assignment
-from lclsim.errors import InvalidInputError, InvalidLabelingError
+from lclsim.errors import InvalidInputError
 from lclsim.graph import PortedGraph, gen_balanced_tree, gen_cycle, gen_regular_tree
-from lclsim.problems import (HomogeneousLabel, PointerLabel, _sees_other_color,
+from lclsim.problems import (HomogeneousLabel, PointerLabel, label_array,
                              verify_homogeneous, verify_pointer_labeling,
                              verify_weak_coloring)
-from oracles import _closest_other_color, pointer_happy, weak_family_to_weak2_dict_stages
+from oracles import (oracle_build_pseudoforest, oracle_cole_vishkin_reduce,
+                     oracle_mis_to_weak2, oracle_verify_weak_coloring, oracle_weak_to_weak2c,
+                     pointer_happy, weak_family_to_weak2_dict_stages)
 
 # ---------------------------------------------------------------------------
 # oracles: the per-node versions
@@ -67,81 +68,6 @@ def oracle_tree_labels(g, r, low):
             labels[v] = PointerLabel(d=g.degree(target[v]),
                                      port=g.port_toward(v, pred[v]))
     return labels
-
-
-def oracle_verify_weak_coloring(g, phi, c, k):
-    for v in range(g.n):
-        col = phi[v]
-        if isinstance(col, bool) or not isinstance(col, int) or not 1 <= col <= c:
-            raise InvalidLabelingError(f"color {col!r} of node {v} outside 1..{c}")
-    return {v: _sees_other_color(g, v, phi, k) for v in range(g.n)}
-
-
-def oracle_weak_to_weak2c(g, phi, k, c, validate=True):
-    if validate:
-        results = oracle_verify_weak_coloring(g, phi, c, k)
-        bad = [v for v, ok in results.items() if not ok]
-        if bad:
-            raise InvalidInputError(
-                f"not a valid distance-{k} weak {c}-coloring; offenders {bad[:5]}")
-    out = {}
-    detail = {}
-    for v in range(g.n):
-        target, dist, first_port = _closest_other_color(g, v, phi, k)
-        out[v] = (phi[v] - 1) * 2 + (dist % 2) + 1
-        detail[v] = RecolorDetail(target=target, dist=dist, first_port=first_port)
-    return out, k, detail
-
-
-def oracle_build_pseudoforest(g, phi2):
-    """(out_port, parent, children) dicts."""
-    out_port = {}
-    for v in range(g.n):
-        for u, mp, _ in g.neighbors(v):
-            if phi2[u] != phi2[v]:
-                out_port[v] = mp
-                break
-        else:
-            raise InvalidInputError(f"node {v} has no differently-colored neighbor")
-    parent = {v: g.neighbor_by_port(v, p) for v, p in out_port.items()}
-    children = {v: [] for v in out_port}
-    for v, w in parent.items():
-        children[w].append(v)
-    return out_port, parent, children
-
-
-def oracle_cole_vishkin_reduce(parent, colors, c_prime):
-    x = {v: colors[v] - 1 for v in colors}
-    for v, w in parent.items():
-        if x[v] == x[w]:
-            raise InvalidInputError(f"colors of {v} and its pointer target agree")
-    rounds = 0
-    bound = c_prime
-    while bound > 6:
-        x = {v: cole_vishkin_step(x[v], x[parent[v]]) for v in x}
-        bound = 2 * max(bound - 1, 1).bit_length()
-        rounds += 1
-    if c_prime > 3:
-        for target in (5, 4, 3):
-            shifted = {v: x[parent[v]] for v in x}
-            new = dict(shifted)
-            for v, col in shifted.items():
-                if col == target:
-                    avoid = {shifted[parent[v]], x[v]}
-                    new[v] = min(set(range(3)) - avoid)
-            x = new
-            rounds += 2
-    return {v: col + 1 for v, col in x.items()}, rounds
-
-
-def oracle_mis_to_weak2(parent, children, psi):
-    joined = set()
-    for cls in (1, 2, 3):
-        for v, col in psi.items():
-            if col == cls and not any(u in joined
-                                      for u in [parent[v]] + children[v]):
-                joined.add(v)
-    return {v: 1 if v in joined else 2 for v in psi}, 3
 
 
 def oracle_verify_pointer_labeling(g, labels, delta):
@@ -267,23 +193,38 @@ def colorings(seed):
         yield g, random_valid_weak_coloring(g, c, k, seed=seed + i), k, c
 
 
+def in_node_order(values):
+    """A dict keyed 0..n-1 as an array in node order."""
+    return label_array([values[v] for v in range(len(values))])
+
+
+def as_dict(x):
+    return dict(enumerate(x.tolist()))
+
+
+def pseudoforest(g, colors):
+    """:func:`build_pseudoforest` on a dict coloring, as (out_port, parent)
+    dicts."""
+    return tuple(map(as_dict, build_pseudoforest(g, in_node_order(colors))))
+
+
+def cole_vishkin(parent, colors, c_prime):
+    """:func:`cole_vishkin_reduce` on the oracle's inputs (a parent dict and
+    1-based colors), as the oracle's output."""
+    x, rounds = cole_vishkin_reduce(label_array([colors[v] - 1 for v in range(len(colors))]),
+                                    in_node_order(parent), c_prime)
+    return as_dict(x + 1), rounds
+
+
+def mis(parent, psi):
+    """:func:`mis_to_weak2` on a parent dict and a coloring dict, as a dict."""
+    return as_dict(mis_to_weak2(in_node_order(psi), in_node_order(parent)))
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_recolor_matches_per_node_search(seed):
     for g, phi, k, c in colorings(seed):
         assert weak_to_weak2c(g, phi, k, c) == oracle_weak_to_weak2c(g, phi, k, c)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_recolor_without_validation_matches(seed):
-    """Random (often invalid) colorings, unvalidated: the same recoloring or
-    the same node that sees no other color."""
-    rng = random.Random(seed)
-    for g in graphs(seed):
-        for k in (1, 2, 3):
-            c = rng.randrange(2, 6)
-            phi = {v: rng.randrange(1, c + 1) for v in range(g.n)}
-            assert outcome(weak_to_weak2c, g, phi, k, c, False) == \
-                outcome(oracle_weak_to_weak2c, g, phi, k, c, False)
 
 
 @pytest.mark.parametrize("top", [2**62 + 2, 2**63 - 1, 2**63 + 1, 2**64 + 2, 2**70])
@@ -295,29 +236,27 @@ def test_weak2_pipeline_with_wide_palettes(top):
                for v, col in random_valid_weak_coloring(g, 4, 2, seed=top % 7).items()}
         assert verify_weak_coloring(g, phi, top, 2) == \
             oracle_verify_weak_coloring(g, phi, top, 2)
-        phi2, _, detail = weak_to_weak2c(g, phi, 2, top)
-        assert (phi2, detail) == oracle_weak_to_weak2c(g, phi, 2, top)[::2]
+        phi2, _ = weak_to_weak2c(g, phi, 2, top)
+        assert phi2 == oracle_weak_to_weak2c(g, phi, 2, top)[0]
         assert min(phi2.values()) > 2 * top - 9
-        pf = build_pseudoforest(g, phi2)
-        assert (pf.out_port, pf.parent) == oracle_build_pseudoforest(g, phi2)[:2]
-        psi = cole_vishkin_reduce(pf, phi2, 2 * top)
-        assert psi == oracle_cole_vishkin_reduce(pf.parent, phi2, 2 * top)
-        assert mis_to_weak2(pf, psi[0]) == oracle_mis_to_weak2(pf.parent, pf.children, psi[0])
+        out_port, parent, children = oracle_build_pseudoforest(g, phi2)
+        assert pseudoforest(g, phi2) == (out_port, parent)
+        psi = cole_vishkin(parent, phi2, 2 * top)
+        assert psi == oracle_cole_vishkin_reduce(parent, phi2, 2 * top)
+        assert mis(parent, psi[0]) == oracle_mis_to_weak2(parent, children, psi[0])[0]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_pseudoforest_cole_vishkin_mis_match_dict_versions(seed):
     for g, phi, k, c in colorings(seed):
-        phi2, _, _ = weak_to_weak2c(g, phi, k, c)
-        pf = build_pseudoforest(g, phi2)
+        phi2, _ = weak_to_weak2c(g, phi, k, c)
         out_port, parent, children = oracle_build_pseudoforest(g, phi2)
-        assert (pf.out_port, pf.parent, pf.children) == (out_port, parent, children)
-        assert pf.pointer_neighbors(0) == [parent[0]] + children[0]
+        assert pseudoforest(g, phi2) == (out_port, parent)
         for c_prime in (2 * c, 16, 64):
-            psi = cole_vishkin_reduce(pf, phi2, c_prime)
+            psi = cole_vishkin(parent, phi2, c_prime)
             assert psi == oracle_cole_vishkin_reduce(parent, phi2, c_prime)
-        psi, _ = cole_vishkin_reduce(pf, phi2, 2 * c)
-        assert mis_to_weak2(pf, psi) == oracle_mis_to_weak2(parent, children, psi)
+        psi, _ = cole_vishkin(parent, phi2, 2 * c)
+        assert mis(parent, psi) == oracle_mis_to_weak2(parent, children, psi)[0]
         res = weak_family_to_weak2(g, phi, k, c)
         assert res.labels == oracle_mis_to_weak2(parent, children, psi)[0]
 
@@ -333,53 +272,33 @@ def test_cole_vishkin_wide_proper_colorings():
             taken = {colors.get(u) for u in g.adjacent(v)}
             colors[v] = next(x for x in iter(lambda: rng.randrange(1, top + 1), None)
                              if x not in taken)
-        pf = build_pseudoforest(g, colors)
-        assert cole_vishkin_reduce(pf, colors, top) == \
-            oracle_cole_vishkin_reduce(pf.parent, colors, top)
+        _, parent = pseudoforest(g, colors)
+        assert cole_vishkin(parent, colors, top) == \
+            oracle_cole_vishkin_reduce(parent, colors, top)
 
 
 def test_cole_vishkin_colors_at_the_int64_ends():
-    """Unvalidated colors at both int64 ends: shifting them to 0-based
-    must not wrap -2^63 onto 2^63 - 1."""
+    """Unvalidated colors at both int64 ends: shifted to 0-based they pass
+    -2^63, and must not wrap onto 2^63 - 1."""
     parent = {0: 1, 1: 0, 2: 0, 3: 1}
-    pf = Pseudoforest(out_port={v: 0 for v in parent}, parent=parent)
     for colors in ({0: -2**63, 1: 2**63 - 1, 2: 5, 3: 0},
                    {0: -2**63, 1: 2**63, 2: -2**63 + 1, 3: 2**63 - 1}):
-        assert outcome(cole_vishkin_reduce, pf, colors, 2**65) == \
+        assert outcome(cole_vishkin, parent, colors, 2**65) == \
             outcome(oracle_cole_vishkin_reduce, parent, colors, 2**65)
-
-
-def test_pipeline_stages_ignore_key_order():
-    """A colors dict keyed out of node order goes through the re-indexing
-    in the stages' parent arrays and gives the same labels."""
-    g = random_tree(60, 4, seed=11)
-    rng = random.Random(11)
-    colors = {}
-    for v in range(g.n):
-        taken = {colors.get(u) for u in g.adjacent(v)}
-        colors[v] = next(x for x in iter(lambda: rng.randrange(1, 65), None)
-                         if x not in taken)
-    pf = build_pseudoforest(g, colors)
-    psi = cole_vishkin_reduce(pf, colors, 64)
-    assert psi == cole_vishkin_reduce(pf, dict(reversed(colors.items())), 64)
-    assert psi == oracle_cole_vishkin_reduce(pf.parent, colors, 64)
-    labels = mis_to_weak2(pf, psi[0])
-    assert labels == mis_to_weak2(pf, dict(reversed(psi[0].items())))
-    assert labels == oracle_mis_to_weak2(pf.parent, pf.children, psi[0])
 
 
 def test_stage_rejections_match():
     g = random_tree(40, 4, seed=3)
     mono = {v: 1 for v in range(g.n)}
-    assert outcome(build_pseudoforest, g, mono) == \
+    assert outcome(pseudoforest, g, mono) == \
         outcome(oracle_build_pseudoforest, g, mono)
-    pf = build_pseudoforest(path_graph(6), {v: 1 + v % 2 for v in range(6)})
+    _, parent = pseudoforest(path_graph(6), {v: 1 + v % 2 for v in range(6)})
     bad = {v: 1 for v in range(6)}
-    assert outcome(cole_vishkin_reduce, pf, bad, 6) == \
-        outcome(oracle_cole_vishkin_reduce, pf.parent, bad, 6)
+    assert outcome(cole_vishkin, parent, bad, 6) == \
+        outcome(oracle_cole_vishkin_reduce, parent, bad, 6)
     # MIS needs a proper 3-coloring along the pointers, as Cole-Vishkin gives
     with pytest.raises(InvalidInputError, match="pointer target agree"):
-        mis_to_weak2(pf, bad)
+        mis(parent, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -507,13 +426,11 @@ def test_verify_homogeneous_inner_error_before_pointer_error():
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_pipeline_matches_dict_stage_handoff(seed):
-    """The pipeline's array handoff gives the result of each stage handing
-    the next a dict; ``detail=False`` changes only the detail."""
+    """The pipeline's array handoff gives the result of the per-node stage
+    oracles, each handing the next a dict."""
     for g, phi, k, c in colorings(seed):
         assert weak_family_to_weak2(g, phi, k, c) == \
             weak_family_to_weak2_dict_stages(g, phi, k, c)
-        phi2, rounds, detail = weak_to_weak2c(g, phi, k, c)
-        assert weak_to_weak2c(g, phi, k, c, detail=False) == (phi2, rounds, None)
 
 
 @pytest.mark.parametrize("top", [2**61 - 1, 2**61, 2**62 + 2, 2**63 - 1, 2**70])

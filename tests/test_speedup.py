@@ -23,7 +23,7 @@ from lclsim.speedup import (SpeedupConfig, as_local_algorithm,
                             random_node_algorithm, verify_speedup_inequality,
                             xor_edge_algorithm)
 from lclsim.views import extract_view
-from oracles import enumerate_assignments
+from oracles import enumerate_assignments, with_bits
 
 
 def test_coordinates():
@@ -198,7 +198,7 @@ def test_derived_edge_algorithm_against_direct_simulation():
             for bits in enumerate_assignments(free, 1):
                 merged = dict(a.bits)
                 merged.update(bits)
-                out = node_alg.evaluate(extract_view(g, w, 1, a.with_bits(merged)))
+                out = node_alg.evaluate(extract_view(g, w, 1, with_bits(a, merged)))
                 counts[out] += 1
                 total += 1
             masks[w] = sum(1 << i for i in (0, 1)

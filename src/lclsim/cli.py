@@ -523,6 +523,7 @@ def _apply_config(parser, argv):
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
+    command = "lclsim"
     try:
         argv = _apply_config(parser, argv)
         try:
@@ -534,10 +535,14 @@ def main(argv=None):
         if args.command is None or args.command == "gen" and args.family is None:
             parser.print_help()
             return EXIT_CONFIG
+        command = args.command
         return {"gen": cmd_gen, "run": cmd_run, "speedup": cmd_speedup,
-                "bounds": cmd_bounds}[args.command](args)
+                "bounds": cmd_bounds}[command](args)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError:  # an allocation that no budget check foresaw
+        print(f"budget exceeded: out of memory running {command}", file=sys.stderr)
         return EXIT_BUDGET
     except (InvalidParameterError, InvalidInputError, InvalidLabelingError,
             InvalidInstanceError, DomainError, OSError,

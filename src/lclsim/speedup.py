@@ -15,6 +15,7 @@ and threshold and evaluate them once per level of the threshold f.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -181,12 +182,18 @@ def _edge_failure(delta, t, b, coded, n_codes):
 # ---------------------------------------------------------------------------
 
 
+def _need(f, free_bits):
+    """The least count with count / 2**free_bits >= f: ceil(f * 2**free_bits),
+    clamped to 2**free_bits + 1 (no count reaches it) so it stays small
+    whatever the denominator of f."""
+    return min(-(-(f.numerator << free_bits) // f.denominator), (1 << free_bits) + 1)
+
+
 def _threshold_mask(dist, f, free_bits):
     """Bit i set iff count_i / 2**free_bits >= f, where count_i is entry i
     of the last axis.  Exact: counts are integers, so the test is
-    count_i >= ceil(f * 2**free_bits), a bound clamped to 2**free_bits + 1
-    (no count reaches it) so it stays small whatever the denominator of f."""
-    need = min(-(-(f.numerator << free_bits) // f.denominator), (1 << free_bits) + 1)
+    count_i >= ``_need(f, free_bits)``."""
+    need = _need(f, free_bits)
     bits = (dist >= need).astype(np.int64) << np.arange(dist.shape[-1], dtype=np.int64)
     return np.bitwise_or.reduce(bits, axis=-1)
 
@@ -206,7 +213,7 @@ class _SpeedupConstruction:
     completion_bits: int
 
     def __post_init__(self):
-        self.counts = np.unique(self.dists)
+        self.counts = np.unique(self.dists).tolist()
         self.levels = {}
 
     @classmethod
@@ -221,8 +228,12 @@ class _SpeedupConstruction:
         return cls(source=alg, cfg=cfg, rounds=rounds, dists=dists,
                    completion_bits=alg.b * frames[0].free_count)
 
+    def level(self, f):
+        """How many distinct counts reach f: one bisect of the sorted counts."""
+        return len(self.counts) - bisect_left(self.counts, _need(f, self.completion_bits))
+
     def _at_level(self, f, key, make):
-        at = (int(_threshold_mask(self.counts[:, None], f, self.completion_bits).sum()), key)
+        at = (self.level(f), key)
         if at not in self.levels:
             self.levels[at] = make()
         return self.levels[at]
@@ -257,9 +268,10 @@ class EdgeSpeedupConstruction(_SpeedupConstruction):
 
     def evaluate(self, f):
         """p' and the goodness violation at f, computed once per level."""
-        masks = self.frequent_masks(f)
-        return self._at_level(f, "results",
-                              lambda: (self._failure(masks), self._goodness(masks)))
+        def results():
+            masks = _threshold_mask(self.dists, f, self.completion_bits)
+            return self._failure(masks), self._goodness(masks)
+        return self._at_level(f, "results", results)
 
     def _failure(self, masks):
         """The packed pairs that occur, ranked: equal pairs keep equal codes,
@@ -409,10 +421,12 @@ class SpeedupReport:
 def inequality_rhs(direction, p_prime, c, f, delta):
     """Lower bound the derived failure imposes on the source failure:
     (p' - delta*c*f) * f^delta for direction 1,
-    (p' - (delta-1)*c*f) * f^(delta-1) for direction 2."""
-    if direction == 1:
-        return (p_prime - delta * c * f) * f**delta
-    return (p_prime - (delta - 1) * c * f) * f**(delta - 1)
+    (p' - (delta-1)*c*f) * f^(delta-1) for direction 2.  With p' = a/b,
+    f = j/q and k the exponent, that is (a*q - k*c*j*b) * j^k / (b * q^(k+1)),
+    one reduction of integers."""
+    k = delta if direction == 1 else delta - 1
+    a, b, j, q = p_prime.numerator, p_prime.denominator, f.numerator, f.denominator
+    return Fraction((a * q - k * c * j * b) * j**k, b * q**(k + 1))
 
 
 def optimizing_f(direction, p_prime, c, delta):

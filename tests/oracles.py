@@ -7,11 +7,12 @@ per-node rules the whole-array LOCAL rounds replaced (``pointer_happy``,
 leaf-free check, the ``json.load`` path every graph file was read through,
 the string-keyed copy ``run`` wrote its label maps through, the eager view
 encoding, the per-draw seeded draws, the per-node weak-2 stages and
-their dict handoff, the methods and formula only tests call, and small
-graph, bound and enumeration helpers.  The per-point speedup sweep
-is the one exception: its loop is unchanged, but it calls the construction's
-kernels on masks it thresholds itself.  Tests import them as they import
-``conftest``.
+their dict handoff, the numpy count of a threshold's level, the ``Fraction``
+right-hand side of the speedup inequality, the methods and formula only
+tests call, and small graph, bound and enumeration helpers.  The per-point
+speedup sweep is the one exception: its loop is unchanged, but it calls the
+construction's kernels on masks it thresholds itself.  Tests import them as
+they import ``conftest``.
 """
 
 import json
@@ -36,9 +37,8 @@ from lclsim.problems import (HomogeneousLabel, PointerLabel, _sees_other_color,
                              verify_weak_coloring)
 from lclsim.speedup import (GridPoint, SpeedupReport, _kernel_work,
                             _threshold_mask, default_f_grid, edge_local_failure,
-                            edge_to_node_speedup, inequality_rhs,
-                            node_local_failure, node_to_edge_speedup,
-                            optimizing_f)
+                            edge_to_node_speedup, node_local_failure,
+                            node_to_edge_speedup, optimizing_f)
 from lclsim.views import _payload_of
 
 # ---------------------------------------------------------------------------
@@ -535,6 +535,24 @@ def enumerate_assignments(region, b, budget_bits=ENUM_BUDGET_BITS):
 # ---------------------------------------------------------------------------
 
 
+def level_by_mask(con, f):
+    """The level of f, counted as ``_SpeedupConstruction`` counted it before
+    the sorted counts were bisected: one numpy comparison of every distinct
+    count with ceil(f * 2**completion_bits), clamped to 2**completion_bits + 1."""
+    bits = con.completion_bits
+    need = min(-(-(f.numerator << bits) // f.denominator), (1 << bits) + 1)
+    return int((np.unique(con.dists) >= need).sum())
+
+
+def inequality_rhs_fractions(direction, p_prime, c, f, delta):
+    """Lower bound the derived failure imposes on the source failure:
+    (p' - delta*c*f) * f^delta for direction 1,
+    (p' - (delta-1)*c*f) * f^(delta-1) for direction 2."""
+    if direction == 1:
+        return (p_prime - delta * c * f) * f**delta
+    return (p_prime - (delta - 1) * c * f) * f**(delta - 1)
+
+
 def verify_speedup_inequality_per_point(g, source, derived, cfg, direction,
                                         f_grid=None):
     """``verify_speedup_inequality`` as it ran before thresholds of one level
@@ -562,7 +580,7 @@ def verify_speedup_inequality_per_point(g, source, derived, cfg, direction,
             gv = construction._goodness(masks)
         else:
             p_prime, gv = node_local_failure(construction.node_table(f)), None
-        rhs = inequality_rhs(direction, p_prime, cfg.c, f, cfg.delta)
+        rhs = inequality_rhs_fractions(direction, p_prime, cfg.c, f, cfg.delta)
         return GridPoint(f=f, p_prime=p_prime, rhs=rhs, holds=p >= rhs,
                          goodness_violation=gv,
                          goodness_holds=None if gv is None else gv <= cfg.delta * cfg.c * f)

@@ -431,3 +431,18 @@ def test_recurrence_past_the_budget_exits_at_once(tmp_path, capsys):
     assert run_cli(["bounds", "recurrence", "--t", "1", "--format", "csv",
                     "--out", str(out)]) == 0
     assert [line.split(",")[1] for line in out.read_text().splitlines()] == ["t", "0", "1"]
+
+
+def test_out_of_memory_exits_budget(tmp_path, monkeypatch, capsys):
+    """A ``MemoryError`` that escapes every budget check exits 3 and names
+    the command, without a traceback."""
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(lclsim.cli, "verify_speedup_inequality", exhausted)
+    out = tmp_path / "s.json"
+    assert run_cli(["speedup", "--direction", "1", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "budget exceeded: out of memory running speedup\n"
+    assert not out.exists()
+

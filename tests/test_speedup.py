@@ -19,11 +19,11 @@ from lclsim.speedup import (SpeedupConfig, as_local_algorithm,
                             default_f_grid, edge_local_failure,
                             edge_to_node_speedup, inequality_rhs,
                             node_local_failure, node_to_edge_speedup,
-                            own_bit_node_algorithm, random_edge_algorithm,
-                            random_node_algorithm, verify_speedup_inequality,
-                            xor_edge_algorithm)
+                            optimizing_f, own_bit_node_algorithm,
+                            random_edge_algorithm, random_node_algorithm,
+                            verify_speedup_inequality, xor_edge_algorithm)
 from lclsim.views import extract_view
-from oracles import enumerate_assignments, with_bits
+from oracles import enumerate_assignments, inequality_rhs_fractions, with_bits
 
 
 def test_coordinates():
@@ -242,6 +242,26 @@ def test_generalized_delta6():
     # direction-2 exponent check: rhs uses f^(delta-1)
     rhs = inequality_rhs(2, Fraction(1, 2), 2, Fraction(1, 10), 6)
     assert rhs == (Fraction(1, 2) - 5 * 2 * Fraction(1, 10)) * Fraction(1, 10) ** 5
+
+
+@pytest.mark.parametrize("direction", (1, 2))
+@pytest.mark.parametrize("delta", (2, 4, 6, 16))
+def test_integer_rhs_matches_the_fraction_expression(direction, delta):
+    """The one-reduction right-hand side is the reduced ``Fraction`` of
+    (p' - k*c*f) * f^k, negative, zero and positive, on the default grid and
+    at the analysis-optimal f of each p'."""
+    p_primes = (Fraction(0), Fraction(1), Fraction(1, 2**20), Fraction(3, 7))
+    signs = set()
+    for c in (2, 3):
+        f_stars = [optimizing_f(direction, p, c, delta) for p in p_primes]
+        for p_prime in p_primes:
+            for f in default_f_grid(100) + f_stars:
+                got = inequality_rhs(direction, p_prime, c, f, delta)
+                want = inequality_rhs_fractions(direction, p_prime, c, f, delta)
+                assert type(got) is Fraction, (p_prime, f)
+                assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+                signs.add((got > 0) - (got < 0))
+    assert signs == {-1, 0, 1}
 
 
 def test_budget_guard():

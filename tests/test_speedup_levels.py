@@ -4,9 +4,12 @@
 per level of f (how many of the construction's distinct conditional counts
 reach f); ``oracles.verify_speedup_inequality_per_point`` thresholds and runs
 them at every f.  The two reports must agree field for field on grids that
-sit on, just beside and past the boundaries k / 2**completion_bits.
+sit on, just beside and past the boundaries k / 2**completion_bits.  The
+level itself, one bisect of the sorted counts, must equal the numpy count
+``oracles.level_by_mask`` on the same grids.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -16,10 +19,10 @@ import lclsim.speedup as speedup
 from lclsim.cli import EDGE_SOURCES, NODE_SOURCES
 from lclsim.errors import BudgetExceededError
 from lclsim.graph import gen_regular_tree
-from lclsim.speedup import (SpeedupConfig, _threshold_mask, default_f_grid,
-                            edge_to_node_speedup, node_to_edge_speedup,
+from lclsim.speedup import (SpeedupConfig, _need, _threshold_mask, default_f_grid,
+                            edge_to_node_speedup, node_to_edge_speedup, optimizing_f,
                             verify_speedup_inequality)
-from oracles import verify_speedup_inequality_per_point
+from oracles import level_by_mask, verify_speedup_inequality_per_point
 
 EPS = Fraction(1, 10**6)
 SEED = 1
@@ -90,6 +93,25 @@ def test_levels_match_the_per_point_sweep(direction, src, delta, t, b, c):
     # a fresh construction, and the one the oracle did not touch
     assert_same_report(verify_speedup_inequality(g, alg, None, cfg, direction, grid), want)
     assert_same_report(verify_speedup_inequality(g, alg, con, cfg, direction, grid), want)
+
+
+@pytest.mark.parametrize("direction,src,delta,t,b,c", CASES,
+                         ids=["-".join(map(str, case)) for case in CASES])
+def test_bisect_level_matches_the_mask_count(direction, src, delta, t, b, c):
+    """On the boundary grid, the analysis-optimal f of the derived failures
+    at cfg.f and 1/2 (denominators of up to 40 bits), and at 3/2, where the
+    clamp shrinks the bound: the bound is ceil(f * 2**bits) clamped to
+    2**bits + 1, and the bisect level is the numpy count."""
+    try:
+        alg, cfg, con = build(direction, src, delta, t, b, c)
+    except BudgetExceededError:
+        return
+    bits = con.completion_bits
+    f_stars = [optimizing_f(direction, con.evaluate(f)[0], c, delta)
+               for f in (cfg.f, Fraction(1, 2))]
+    for f in boundary_grid(con) + f_stars + [Fraction(3, 2)]:
+        assert _need(f, bits) == min(math.ceil(f * (1 << bits)), (1 << bits) + 1), f
+        assert con.level(f) == level_by_mask(con, f), f
 
 
 def test_every_fitting_case_is_compared():

@@ -5,7 +5,8 @@ sweep.
 frequent-set mask into one int64 color; past 62 bits it rank-compresses
 the running code.  The oracle is the rank of each key's whole mask row
 (``np.unique(axis=0)``): colors must be equal exactly where the rows are.
-``verify_speedup_inequality`` thresholds each direction-1 grid point once.
+``verify_speedup_inequality`` thresholds each direction-1 grid point at
+most once: once per level.
 """
 
 from fractions import Fraction
@@ -13,9 +14,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import lclsim.speedup as speedup
 from lclsim.graph import gen_regular_tree
 from lclsim.oriented import EdgeTable, NodeTable
-from lclsim.speedup import (EdgeSpeedupConstruction, SpeedupConfig, _threshold_mask,
+from lclsim.speedup import (SpeedupConfig, _threshold_mask,
                             constant_edge_algorithm, edge_to_node_speedup,
                             endpoint_sum_edge_algorithm, node_local_failure,
                             node_to_edge_speedup, random_edge_algorithm,
@@ -88,23 +90,27 @@ def test_node_table_matches_rank_compressed_mask_rows(source, delta, t, b, c):
 
 @pytest.mark.parametrize("delta,b,c", [(4, 1, 2), (4, 2, 4), (6, 1, 2)])
 def test_direction1_thresholds_each_grid_point_once(monkeypatch, delta, b, c):
+    """At most once: the counts are thresholded once per level of the
+    evaluated thresholds, inside that level's evaluation."""
     calls = []
-    real = EdgeSpeedupConstruction.frequent_masks
+    real = speedup._threshold_mask
 
-    def counted(self, f):
+    def counted(dist, f, free_bits):
         calls.append(f)
-        return real(self, f)
+        return real(dist, f, free_bits)
 
-    monkeypatch.setattr(EdgeSpeedupConstruction, "frequent_masks", counted)
+    monkeypatch.setattr(speedup, "_threshold_mask", counted)
     alg = random_node_algorithm(delta, 1, b, c, seed=5)
     cfg = SpeedupConfig(delta=delta, c=c, t=1, f=Fraction(1, 40), b=b)
     grid = [Fraction(j, 11) for j in range(1, 11)]
     report = verify_speedup_inequality(gen_regular_tree(delta, 3), alg, None, cfg, 1,
                                        f_grid=grid)
-    assert len(calls) == report.metrics["grid_points"] == 2 + len(grid)
-    # the shared masks give what each call thresholding for itself gives
-    monkeypatch.setattr(EdgeSpeedupConstruction, "frequent_masks", real)
+    monkeypatch.setattr(speedup, "_threshold_mask", real)
     con = node_to_edge_speedup(alg, cfg)
+    evaluated = [cfg.f, report.optimal_f] + grid
+    assert report.metrics["grid_points"] == len(evaluated)
+    assert len(calls) == len({con.level(f) for f in evaluated}) < len(evaluated)
+    # the shared masks give what each call thresholding for itself gives
     for pt in report.grid:
         assert pt.p_prime == con.local_failure(pt.f)
         assert pt.goodness_violation == con.goodness_violation(pt.f)

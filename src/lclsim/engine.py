@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (BudgetExceededError, InvalidInputError,
                      InvalidInstanceError, TotalRuleViolation)
-from .graph import ball_is_leaf_free, bfs_distances, edge_key
+from .graph import ball_is_leaf_free, bfs_levels, edge_key
 from .views import extract_view
 
 ENUM_BUDGET_BITS = 24
@@ -30,6 +30,7 @@ DEFAULT_BITS_PER_NODE = 2
 MC_DEFAULT_SAMPLES = 10**6
 MC_DEFAULT_CONFIDENCE = 0.99
 BLOCK_ROWS = 4096            # assignments counted per numpy block
+DENSE_KEY_BITS = 20         # dense label tables and joint histograms up to 2**20
 
 
 @dataclass
@@ -221,40 +222,50 @@ class _CompiledBall:
 
     The predicate reads one label per source (v and its neighbours, or the
     edges at v).  A source's view depends only on the bits of its support:
-    the region's positions of the nodes the view reads (``View.nodes``: its
-    radius-t ball, or both endpoint balls for an edge).  Each view is
-    therefore extracted and evaluated once per distinct bit pattern of its
-    support, and the predicate runs once per distinct tuple of labels; the
-    memos are kept across blocks.  A view reads no id outside its own ball,
-    so each source's assignments carry only its support's ids.
+    the region's positions of the nodes the view reads (its radius-t ball,
+    or both endpoint balls for an edge).  Each view is therefore extracted
+    and evaluated once per distinct bit pattern of its support, and the
+    predicate runs once per distinct tuple of labels; the memos are kept
+    across blocks.  A support of at most ``DENSE_KEY_BITS`` bits memoizes
+    its labels in a dense table indexed by the packed pattern (-1: not yet
+    evaluated), so a block costs one gather; wider supports memoize in a
+    dict over the block's distinct patterns.  A view reads no id outside
+    its own ball, so each source's assignments carry only its support's ids.
     """
 
     def __init__(self, g, alg, v, fail_predicate, b, ids, inputs):
         self.g, self.alg, self.v, self.fail_predicate = g, alg, v, fail_predicate
         self.b, self.inputs = b, inputs
         t = alg.rounds
-        self.region = sorted(bfs_distances(g, v, t + 1))
-        pos = {u: i for i, u in enumerate(self.region)}
+        inside = bfs_levels(g, v, t + 1) >= 0
+        self.region = np.flatnonzero(inside).tolist()   # ascending node order
+        pos = np.cumsum(inside) - 1                     # node -> region position
         if alg.kind == "node":
             sources = {u: u for u in [v] + g.adjacent(v)}
         else:
             sources = {edge_key(v, u): (v, u) for u in g.adjacent(v)}
         self.label_keys = list(sources)
         self.centers = list(sources.values())
-        self.supports, self.ids = [], []
+        self.nodes, self.supports, self.ids, self.memos = [], [], [], []
         for center in self.centers:
-            ball = extract_view(g, center, t).nodes
-            self.supports.append(np.array(sorted(pos[u] for u in ball), dtype=np.intp))
-            self.ids.append(None if ids is None else {u: ids[u] for u in ball if u in ids})
-        self.memos = [{} for _ in self.centers]   # support pattern -> label code
+            ball = np.zeros(g.n, dtype=bool)
+            for u in center if isinstance(center, tuple) else (center,):
+                ball |= bfs_levels(g, u, t) >= 0
+            nodes = np.flatnonzero(ball)
+            self.nodes.append(nodes.tolist())
+            self.supports.append(pos[nodes])
+            self.ids.append(None if ids is None else
+                            {u: ids[u] for u in self.nodes[-1] if u in ids})
+            bits = b * nodes.size
+            self.memos.append(np.full(1 << bits, -1, dtype=np.int32)
+                              if bits <= DENSE_KEY_BITS else {})
         self.codes = {}                             # (type, label) -> label code
         self.labels = []                            # label code -> label
         self.fails = {}                             # label codes -> failure
 
     def _label(self, i, pattern):
-        bits = dict(zip((self.region[p] for p in self.supports[i].tolist()),
-                        pattern.tolist()))
-        a = Assignment(b=self.b, bits=bits, ids=self.ids[i])
+        a = Assignment(b=self.b, bits=dict(zip(self.nodes[i], pattern.tolist())),
+                       ids=self.ids[i])
         label = self.alg.evaluate(
             extract_view(self.g, self.centers[i], self.alg.rounds, a, self.inputs))
         key = (type(label), label)
@@ -274,8 +285,17 @@ class _CompiledBall:
         else:  # too wide for an int64 key: key on the row's bytes
             keys = np.ascontiguousarray(cols).view(
                 np.dtype((np.void, width * cols.itemsize))).ravel()
-        uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         memo = self.memos[i]
+        if isinstance(memo, np.ndarray):
+            codes = memo[keys]
+            missed = np.flatnonzero(codes < 0)
+            if missed.size == 0:
+                return codes
+            new, first = np.unique(keys[missed], return_index=True)
+            for key, row in zip(new.tolist(), missed[first].tolist()):
+                memo[key] = self._label(i, cols[row])
+            return memo[keys]
+        uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         lut = np.empty(len(uniq), dtype=np.int64)
         for j, (key, row) in enumerate(zip(uniq.tolist(), first.tolist())):
             if key not in memo:
@@ -283,26 +303,32 @@ class _CompiledBall:
             lut[j] = memo[key]
         return lut[inverse]
 
+    def _fails(self, combo):
+        if combo not in self.fails:
+            labels = {k: self.labels[c] for k, c in zip(self.label_keys, combo)}
+            self.fails[combo] = bool(self.fail_predicate(self.g, self.v, labels))
+        return self.fails[combo]
+
     def hits(self, block):
         """Number of rows of ``block`` (one assignment of the region per
         row) on which the failure event holds at v."""
         per_source = [self._label_codes(i, block) for i in range(len(self.centers))]
-        radix = len(self.labels)
+        dims = (len(self.labels),) * len(per_source)
+        if math.prod(dims) <= 1 << DENSE_KEY_BITS:    # one histogram of the joint codes
+            counts = np.bincount(np.ravel_multi_index(per_source, dims))
+            seen = np.flatnonzero(counts)
+            combos = zip(*(d.tolist() for d in np.unravel_index(seen, dims)))
+            return sum(count for combo, count in zip(combos, counts[seen].tolist())
+                       if self._fails(combo))
+        radix = dims[0]
         joint = np.zeros(len(block), dtype=np.int64)
         for codes in per_source:
             if int(joint.max()) >= (1 << 62) // radix:
                 _, joint = np.unique(joint, return_inverse=True)  # re-index
             joint = joint * radix + codes
         _, first, counts = np.unique(joint, return_index=True, return_counts=True)
-        hits = 0
-        for row, count in zip(first.tolist(), counts.tolist()):
-            combo = tuple(int(codes[row]) for codes in per_source)
-            if combo not in self.fails:
-                labels = {k: self.labels[c] for k, c in zip(self.label_keys, combo)}
-                self.fails[combo] = bool(self.fail_predicate(self.g, self.v, labels))
-            if self.fails[combo]:
-                hits += count
-        return hits
+        return sum(count for row, count in zip(first.tolist(), counts.tolist())
+                   if self._fails(tuple(int(codes[row]) for codes in per_source)))
 
 
 def _counter_blocks(m, b, dtype):

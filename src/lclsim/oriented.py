@@ -300,28 +300,44 @@ def walk_direction_path(g, start, path):
     return x
 
 
-def pack_node_view(g, v, t, b, assignment):
-    """Packed radius-t key around node v of a concrete oriented tree."""
-    key = 0
-    for i, p in enumerate(ball_paths(g.delta, t)):
-        x = walk_direction_path(g, v, p)
-        if x is None:
-            raise TotalRuleViolation(f"node {v} lacks a full radius-{t} ball")
-        key |= assignment.bits[x] << (i * b)
-    return key
+def node_ball(g, v, t):
+    """The nodes at ``ball_paths(g.delta, t)`` from node v of a concrete
+    oriented tree, in key order."""
+    nodes = [walk_direction_path(g, v, p) for p in ball_paths(g.delta, t)]
+    if None in nodes:
+        raise TotalRuleViolation(f"node {v} lacks a full radius-{t} ball")
+    return nodes
 
 
-def pack_edge_view(g, u, v, t, b, assignment):
-    """``(dim, packed key)`` for the edge {u, v} of a concrete oriented tree."""
+def edge_ball(g, u, v, t):
+    """``(dim, nodes)`` for the edge {u, v} of a concrete oriented tree: the
+    nodes at ``edge_ball_paths`` from its + endpoint, in key order."""
     orient = g.orientation_at(u, v)
     if orient is None:
         raise TotalRuleViolation(f"edge {u}-{v} is not oriented")
     dim, sign = orient
     plus = u if sign > 0 else v
+    nodes = [walk_direction_path(g, plus, q) for q in edge_ball_paths(g.delta, t, dim)]
+    if None in nodes:
+        raise TotalRuleViolation(f"edge {u}-{v} lacks a full radius-{t} ball")
+    return dim, nodes
+
+
+def pack_key(nodes, b, assignment):
+    """The b-bit fields of ``nodes``' bits, the first node lowest."""
+    bits = assignment.bits
     key = 0
-    for i, q in enumerate(edge_ball_paths(g.delta, t, dim)):
-        x = walk_direction_path(g, plus, q)
-        if x is None:
-            raise TotalRuleViolation(f"edge {u}-{v} lacks a full radius-{t} ball")
-        key |= assignment.bits[x] << (i * b)
-    return dim, key
+    for i, x in enumerate(nodes):
+        key |= bits[x] << (i * b)
+    return key
+
+
+def pack_node_view(g, v, t, b, assignment):
+    """Packed radius-t key around node v of a concrete oriented tree."""
+    return pack_key(node_ball(g, v, t), b, assignment)
+
+
+def pack_edge_view(g, u, v, t, b, assignment):
+    """``(dim, packed key)`` for the edge {u, v} of a concrete oriented tree."""
+    dim, nodes = edge_ball(g, u, v, t)
+    return dim, pack_key(nodes, b, assignment)

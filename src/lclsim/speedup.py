@@ -24,9 +24,9 @@ import numpy as np
 from .engine import DirectedPair, LocalAlgorithm, require_interior
 from .errors import InvalidInputError, InvalidParameterError
 from .oriented import (KERNEL_BUDGET_BITS, EdgeTable, NodeTable, _check_table_bits,
-                       ball_paths, edge_positions, endpoint_completion_frame,
-                       incident_edge_frame, key_tables, neighbor_frame,
-                       overlap_tables, pack_edge_view, pack_node_view)
+                       ball_paths, edge_ball, edge_positions, endpoint_completion_frame,
+                       incident_edge_frame, key_tables, neighbor_frame, node_ball,
+                       overlap_tables, pack_key)
 
 
 @dataclass(frozen=True)
@@ -586,19 +586,25 @@ def random_edge_algorithm(delta, t, b, c, seed):
 
 def as_local_algorithm(alg):
     """Wrap a table algorithm so the engine can run it on concrete oriented
-    trees (only nodes/edges with full balls; others raise)."""
+    trees (only nodes/edges with full balls; others raise).  Each rule walks
+    a center's ball once per graph and keeps the node list; a view then
+    costs one key packing and one table read."""
+    balls = {}                # (graph, center) -> its ball, walked once
     if isinstance(alg, NodeTable):
         def rule(view):
-            return int(alg.table[pack_node_view(
-                view.graph, view.center_node, alg.t, alg.b, view.assignment)])
+            at = view.graph, view.center_node
+            if at not in balls:
+                balls[at] = node_ball(*at, alg.t)
+            return int(alg.table[pack_key(balls[at], alg.b, view.assignment)])
         return LocalAlgorithm(rounds=alg.t, kind="node", rule=rule,
                               name=alg.name or "node-table")
     if isinstance(alg, EdgeTable):
         def rule(view):
-            u, v = view.endpoints
-            dim, key = pack_edge_view(view.graph, u, v, alg.t, alg.b,
-                                      view.assignment)
-            return alg.labels[int(alg.tables[dim][key])]
+            at = view.graph, *view.endpoints
+            if at not in balls:
+                balls[at] = edge_ball(*at, alg.t)
+            dim, nodes = balls[at]
+            return alg.labels[int(alg.tables[dim][pack_key(nodes, alg.b, view.assignment)])]
         return LocalAlgorithm(rounds=alg.t, kind="edge", rule=rule,
                               name=alg.name or "edge-table")
     raise InvalidInputError("expected a NodeTable or EdgeTable")

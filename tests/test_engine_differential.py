@@ -4,9 +4,10 @@ per-assignment enumeration they replace, kept here as the oracle."""
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from lclsim.engine import (DEFAULT_BITS_PER_NODE, ENUM_BUDGET_BITS,
+from lclsim.engine import (BLOCK_ROWS, DEFAULT_BITS_PER_NODE, ENUM_BUDGET_BITS,
                            MC_DEFAULT_CONFIDENCE, MC_DEFAULT_SAMPLES,
                            Assignment, DirectedPair, FailureEstimate,
                            LocalAlgorithm, hoeffding_radius,
@@ -15,7 +16,9 @@ from lclsim.engine import (DEFAULT_BITS_PER_NODE, ENUM_BUDGET_BITS,
 from lclsim.errors import InvalidInputError, TotalRuleViolation
 from lclsim.graph import (bfs_distances, edge_key, gen_balanced_tree,
                           gen_regular_tree)
-from lclsim.speedup import (as_local_algorithm, random_edge_algorithm,
+from lclsim.oriented import EdgeTable, NodeTable
+from lclsim.speedup import (as_local_algorithm, edge_local_failure,
+                            node_local_failure, random_edge_algorithm,
                             random_node_algorithm)
 from lclsim.views import extract_view
 from oracles import enumerate_assignments, input_label
@@ -211,3 +214,124 @@ def test_joint_code_past_int64():
     alg = LocalAlgorithm(rounds=1, kind="node", rule=lambda view: view.encoding)
     assert_same(gen_regular_tree(6, 3), alg, weak_coloring_failure, b=2,
                 mode="monte-carlo", samples=700, seed=6)
+
+
+# ---------------------------------------------------------------------------
+# Dense label tables and the joint histogram, at their caps
+# ---------------------------------------------------------------------------
+# A support of at most DENSE_KEY_BITS key bits memoizes its labels in a dense
+# table, a wider one in a dict; a joint label space of at most
+# 2**DENSE_KEY_BITS combos is counted by one histogram, a larger one by
+# sorting.  Each case sits just on one side of a cap.
+
+
+def support_sum_mod3(view):
+    return sum(view.bits(x) * (i + 1) for i, x in enumerate(sorted(view.nodes))) % 3
+
+
+def shuffled_ids(g, seed):
+    vals = list(range(1, g.n + 1))
+    random.Random(seed).shuffle(vals)
+    return dict(enumerate(vals))
+
+
+@pytest.mark.parametrize("extra", ["ids", "inputs"])
+@pytest.mark.parametrize("g,rounds,b,key_bits", [
+    (TREE, 0, 20, 20), (TREE, 0, 21, 21),
+    (gen_regular_tree(4, 3), 1, 4, 20), (gen_regular_tree(6, 3), 1, 3, 21)])
+def test_node_support_keys_at_the_dense_cap(g, rounds, b, key_bits, extra):
+    assert b * len(extract_view(g, 0, rounds).nodes) == key_bits
+    if extra == "ids":
+        kw = {"ids": shuffled_ids(g, key_bits)}
+        def rule(view):
+            return (support_sum_mod3(view) + view.ident(view.center_node)) % 3
+    else:
+        kw = {"inputs": {u: "x" for u in range(0, g.n, 3)}}
+        def rule(view):
+            return (support_sum_mod3(view), input_label(view, view.center_node))
+    alg = LocalAlgorithm(rounds=rounds, kind="node", rule=rule)
+    assert_same(g, alg, weak_coloring_failure, b=b, mode="monte-carlo",
+                samples=300, seed=key_bits, **kw)
+
+
+@pytest.mark.parametrize("b", [10, 11])     # 20- and 22-bit edge keys
+def test_edge_support_keys_at_the_dense_cap(b):
+    def rule(view):
+        u, v = view.endpoints
+        return ((view.bits(u) << 8) + view.bits(v)) % 3, input_label(view, u)
+
+    alg = LocalAlgorithm(rounds=0, kind="edge", rule=rule)
+    assert_same(TREE, alg, some_pair_equal, b=b, mode="monte-carlo", samples=300,
+                seed=b, inputs={u: "x" for u in range(0, TREE.n, 2)})
+
+
+@pytest.mark.parametrize("radix", [16, 17])   # 16**5 == 2**20 < 17**5
+def test_node_joint_space_at_the_histogram_cap(radix):
+    """Five sources with ``radix`` labels each: exact against the kernel and
+    Monte Carlo against the oracle."""
+    table = NodeTable(delta=4, t=1, b=1, c=radix, table=np.arange(32) * 7 % radix)
+    est = local_failure_probability(gen_regular_tree(4, 3), as_local_algorithm(table),
+                                    0, weak_coloring_failure, b=1)
+    assert est.value == node_local_failure(table)
+    alg = LocalAlgorithm(rounds=0, kind="node",
+                         rule=lambda view: view.bits(view.center_node) % radix)
+    assert_same(TREE, alg, weak_coloring_failure, b=5, mode="monte-carlo",
+                samples=500, seed=radix)
+
+
+@pytest.mark.parametrize("c", [32, 33])       # 32**4 == 2**20 < 33**4
+def test_edge_joint_space_at_the_histogram_cap(c):
+    """Four edge sources with c labels each: exact against the kernel and
+    Monte Carlo against the oracle."""
+    size = 1 << (3 * 2)                           # b=3 at both endpoints
+    table = EdgeTable(delta=4, t=0, b=3, labels=tuple(range(c)),
+                      tables={dim: np.arange(size) * (dim + 4) % c for dim in (1, 2)})
+    alg = as_local_algorithm(table)
+    est = local_failure_probability(TREE, alg, 0, weak_edge_coloring_failure, b=3)
+    assert est.value == edge_local_failure(table)
+    assert_same(TREE, alg, weak_edge_coloring_failure, b=3, mode="monte-carlo",
+                samples=400, seed=c)
+
+
+def first_late_draw(seed, b, m, row):
+    """The first draw of sample ``row`` in the Monte Carlo stream, checked
+    not to occur in any earlier sample."""
+    rng = random.Random(seed)
+    draws = [rng.randrange(1 << b) for _ in range((row + 1) * m)]
+    assert draws[row * m] not in draws[:row * m]
+    return draws[row * m]
+
+
+@pytest.mark.parametrize("b", [20, 21])
+def test_label_first_drawn_in_a_late_block(b):
+    """A label first appears in the third block, after the radix of the
+    joint code has been used for two blocks with two labels."""
+    row, seed = 2 * BLOCK_ROWS + 17, 11
+    late = first_late_draw(seed, b, len(bfs_distances(TREE, 0, 1)), row)
+
+    def rule(view):
+        bits = view.bits(view.center_node)
+        return "late" if bits == late else bits & 1
+
+    alg = LocalAlgorithm(rounds=0, kind="node", rule=rule)
+    est = assert_same(TREE, alg, lambda g, v, labels: "late" in labels.values(),
+                      b=b, mode="monte-carlo", samples=row + 40, seed=seed)
+    assert est.value > 0
+
+
+@pytest.mark.parametrize("kw", [{"b": 3}, dict(MC, b=2, seed=9), dict(MC, b=21, seed=9)])
+def test_each_support_pattern_evaluated_once(kw):
+    """Labels are memoized across blocks: in either memo, a view is
+    evaluated once per distinct bit pattern of its support."""
+    kw = dict(kw, samples=3 * BLOCK_ROWS) if "mode" in kw else kw
+    seen = []
+
+    def rule(view):
+        seen.append((view.center_node, view.bits(view.center_node)))
+        return view.bits(view.center_node) % 2
+
+    alg = LocalAlgorithm(rounds=0, kind="node", rule=rule)
+    local_failure_probability(TREE, alg, 0, weak_coloring_failure, **kw)
+    assert len(seen) == len(set(seen))
+    if "mode" not in kw:
+        assert len(seen) == 5 << kw["b"]

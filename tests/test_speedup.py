@@ -7,11 +7,13 @@ import pytest
 from lclsim.engine import (Assignment, DirectedPair,
                            local_failure_probability, weak_coloring_failure,
                            weak_edge_coloring_failure)
-from lclsim.errors import BudgetExceededError, InvalidParameterError
+from lclsim.cli import EDGE_SOURCES, NODE_SOURCES
+from lclsim.errors import BudgetExceededError, InvalidParameterError, TotalRuleViolation
 from lclsim.graph import gen_regular_tree
-from lclsim.oriented import (NodeTable, ball_paths, edge_positions,
+from lclsim.oriented import (EdgeTable, NodeTable, ball_paths, edge_positions,
                              endpoint_completion_frame, incident_edge_frame,
-                             key_tables, neighbor_frame)
+                             key_tables, neighbor_frame, pack_edge_view,
+                             pack_node_view)
 from lclsim.speedup import (SpeedupConfig, as_local_algorithm,
                             ball_parity_node_algorithm,
                             center_mod_node_algorithm,
@@ -23,6 +25,7 @@ from lclsim.speedup import (SpeedupConfig, as_local_algorithm,
                             random_edge_algorithm, random_node_algorithm,
                             verify_speedup_inequality, xor_edge_algorithm)
 from lclsim.views import extract_view
+from conftest import relabeled
 from oracles import enumerate_assignments, inequality_rhs_fractions, with_bits
 
 
@@ -309,3 +312,71 @@ def test_node_kernel_counts_past_int64(make, want):
 def test_edge_kernel_counts_past_int64():
     # delta=8, t=1, b=1: the count reaches 2**(9 + 7*8) = 2**65
     assert edge_local_failure(constant_edge_algorithm(8, 1, 1, 2)) == 1
+
+
+# ---------------------------------------------------------------------------
+# Engine bridge
+# ---------------------------------------------------------------------------
+
+
+def identity_node_table(delta, t, b):
+    """A node table whose color is its key."""
+    size = 1 << (b * len(ball_paths(delta, t)))
+    return NodeTable(delta=delta, t=t, b=b, c=size, table=np.arange(size))
+
+
+def identity_edge_table(delta, t, b):
+    """An edge table whose label is ``(dim, key)``, as ``pack_edge_view``
+    returns it."""
+    dims = range(1, delta // 2 + 1)
+    size = 1 << (b * len(edge_positions(delta, t, 1)))
+    return EdgeTable(delta=delta, t=t, b=b,
+                     labels=tuple((dim, key) for dim in dims for key in range(size)),
+                     tables={dim: (dim - 1) * size + np.arange(size) for dim in dims})
+
+
+def test_bridge_keys_on_two_trees_at_every_center():
+    """One bridged node and edge algorithm, run twice over every center of
+    two trees that share node ids but not balls, read the keys that
+    ``pack_node_view`` and ``pack_edge_view`` read, and raise on every call
+    at a center without a full ball."""
+    t, b = 1, 2
+    base = gen_regular_tree(4, 3)
+    trees = [base, relabeled(base, seed=3)[0]]
+    node = as_local_algorithm(identity_node_table(4, t, b))
+    edge = as_local_algorithm(identity_edge_table(4, t, b))
+    for rnd in range(2):
+        for k, g in enumerate(trees):
+            a = Assignment.random(g, b, seed=10 * rnd + k)
+            packs = {"node": lambda view: pack_node_view(g, view.center, t, b, a),
+                     "edge": lambda view: pack_edge_view(g, *view.center, t, b, a)}
+            for v in range(g.n):
+                for alg, center in [(node, v)] + [(edge, (v, u)) for u in g.adjacent(v)]:
+                    view = extract_view(g, center, t, a)
+                    try:
+                        want = packs[alg.kind](view)
+                    except TotalRuleViolation as exc:
+                        with pytest.raises(TotalRuleViolation, match=str(exc)):
+                            alg.evaluate(view)
+                        continue
+                    assert alg.evaluate(view) == want
+
+
+@pytest.mark.parametrize("name,delta,t,b", [(name, 4, 1, 1) for name in NODE_SOURCES]
+                         + [("random", 2, 3, 2)])
+def test_engine_equals_the_kernel_for_every_node_source(name, delta, t, b):
+    """The engine's enumeration through the bridge (2**17 and 2**18
+    assignments) against the exact kernel."""
+    table = NODE_SOURCES[name](delta, t, b, 3, 1)
+    est = local_failure_probability(gen_regular_tree(delta, t + 2),
+                                    as_local_algorithm(table), 0,
+                                    weak_coloring_failure, b=b)
+    assert est.value == node_local_failure(table)
+
+
+@pytest.mark.parametrize("name", EDGE_SOURCES)
+def test_engine_equals_the_kernel_for_every_edge_source(name):
+    table = EDGE_SOURCES[name](4, 0, 2, 3, 1)
+    est = local_failure_probability(gen_regular_tree(4, 2), as_local_algorithm(table),
+                                    0, weak_edge_coloring_failure, b=2)
+    assert est.value == edge_local_failure(table)

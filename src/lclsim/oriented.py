@@ -211,7 +211,7 @@ def _check_table_bits(bits):
             f"table over {bits} bits exceeds the {TABLE_BITS_CAP}-bit cap")
 
 
-def _tabulate(fn, positions, b, bound, what):
+def _tabulate(fn, positions, b, bound):
     """Call a rule once on the bit arrays of all ``2**(b*len(positions))``
     keys; return its outputs as a fresh int64 table, after checking them
     against ``[0, bound)``."""
@@ -221,7 +221,7 @@ def _tabulate(fn, positions, b, bound, what):
     out = np.broadcast_to(np.asarray(fn(bits)), keys.shape)
     bad = (out < 0) | (out >= bound)
     if bad.any():
-        raise InvalidParameterError(f"rule output {out[bad][0]} {what}")
+        raise InvalidParameterError(f"rule output {out[bad][0]} outside [0,{bound})")
     return out.astype(np.int64)
 
 
@@ -247,41 +247,45 @@ class NodeTable:
         A color outside ``[0, c)`` raises ``InvalidParameterError``."""
         paths = ball_paths(delta, t)
         _check_table_bits(b * len(paths))
-        table = _tabulate(fn, paths, b, c, f"outside [0,{c})")
+        table = _tabulate(fn, paths, b, c)
         return cls(delta=delta, t=t, b=b, c=c, table=table, name=name)
 
 
 @dataclass
 class EdgeTable:
-    """t-round edge algorithm: one table per dimension over packed edge-ball
-    bits; entries index into ``labels``."""
+    """t-round edge algorithm: per dimension, packed edge-ball keys to label
+    codes in ``[0, c)`` as the ``+`` endpoint sees the label (``tables``)
+    and as the ``-`` endpoint sees it (``minus``; None: the same, an opaque
+    label).  A code outside ``[0, c)`` raises ``InvalidParameterError``."""
 
     delta: int
     t: int
     b: int
-    labels: tuple
+    c: int
     tables: dict
+    minus: dict = None
     name: str = ""
 
-    @property
-    def c(self):
-        return len(self.labels)
+    def __post_init__(self):
+        if self.minus is None:
+            self.minus = self.tables
+        codes = np.concatenate([*self.tables.values(), *self.minus.values()])
+        if not (0 <= codes.min() and codes.max() < self.c):
+            raise InvalidParameterError(f"edge label code outside [0,{self.c})")
 
     @classmethod
-    def from_rule(cls, delta, t, b, labels, fn, name=""):
+    def from_rule(cls, delta, t, b, c, fn, name=""):
         """Tabulate a rule per dimension over every key at once.
         ``fn(dim, bits)`` sees ``{(side, path): int64 array}`` as in
-        ``NodeTable.from_rule`` and returns label indices as an integer
-        array, or one index for every key; an index outside the palette
-        raises ``InvalidParameterError``."""
-        labels = tuple(labels)
+        ``NodeTable.from_rule`` and returns opaque label codes as an integer
+        array, or one code for every key; a code outside ``[0, c)`` raises
+        ``InvalidParameterError``."""
         tables = {}
         for dim in range(1, delta // 2 + 1):
             pos = edge_positions(delta, t, dim)
             _check_table_bits(b * len(pos))
-            tables[dim] = _tabulate(lambda bits: fn(dim, bits), pos, b,
-                                    len(labels), "outside the palette")
-        return cls(delta=delta, t=t, b=b, labels=labels, tables=tables, name=name)
+            tables[dim] = _tabulate(lambda bits: fn(dim, bits), pos, b, c)
+        return cls(delta=delta, t=t, b=b, c=c, tables=tables, name=name)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .engine import DirectedPair, LocalAlgorithm, require_interior
-from .errors import InvalidInputError, InvalidParameterError
+from .errors import BudgetExceededError, InvalidInputError, InvalidParameterError
 from .oriented import (KERNEL_BUDGET_BITS, EdgeTable, NodeTable, _check_table_bits,
                        ball_paths, edge_ball, edge_positions, endpoint_completion_frame,
                        incident_edge_frame, key_tables, neighbor_frame, node_ball,
@@ -126,19 +126,6 @@ def node_local_failure(alg):
         b, m, frames[0].free_count, delta)
 
 
-def _relative_code_maps(labels):
-    """Label-index -> small code of the label as seen by the plus / minus
-    observer.  DirectedPair labels reorient; opaque labels are symmetric."""
-    codes = {}                      # label -> code, in order of first sight
-    plus = np.empty(len(labels), dtype=np.int64)
-    minus = np.empty(len(labels), dtype=np.int64)
-    for i, lab in enumerate(labels):
-        seen = ((lab.seen_from(+1), lab.seen_from(-1)) if isinstance(lab, DirectedPair)
-                else (lab, lab))
-        plus[i], minus[i] = (codes.setdefault(x, len(codes)) for x in seen)
-    return plus, minus, len(codes)
-
-
 def _onehot_counts(codes, n_codes):
     rows = codes.shape[0]
     idx = codes + np.arange(rows, dtype=np.int64)[:, None] * n_codes
@@ -156,25 +143,19 @@ def _label_counts(frame, b, m, table, n_codes):
 def edge_local_failure(alg):
     """Pr[no dimension breaks symmetry at the center], exactly.
 
-    Per dimension the two incident edge labels are compared after
-    reorienting each to the center; conditioned on the center ball the two
+    Per dimension the two incident edge labels are compared as the center
+    sees them: the code of its ``+`` edge in ``tables`` against the code
+    of its ``-`` edge in ``minus``.  Conditioned on the center ball the two
     labels of a dimension are independent, and dimensions are independent
     of each other.
     """
-    plus, minus, n_codes = _relative_code_maps(alg.labels)
-    return _edge_failure(alg.delta, alg.t, alg.b,
-                         lambda d: (plus, minus)[d % 2][alg.tables[d // 2 + 1]], n_codes)
-
-
-def _edge_failure(delta, t, b, coded, n_codes):
-    """``edge_local_failure`` where ``coded(d)[edge key]``, in ``[0, n_codes)``,
-    codes the label of the center's direction-d edge as the center sees it."""
-    m = len(ball_paths(delta, t))
-    frames = _incident_frames(delta, t, t)
-    counts = (_label_counts(fr, b, m, coded(d), n_codes) for d, fr in enumerate(frames))
+    m = len(ball_paths(alg.delta, alg.t))
+    frames = _incident_frames(alg.delta, alg.t, alg.t)
+    counts = (_label_counts(fr, alg.b, m, (alg.tables, alg.minus)[d % 2][d // 2 + 1], alg.c)
+              for d, fr in enumerate(frames))
     pairs = zip(counts, counts)     # a dimension's + slot, then its - slot
     return _branch_product(((plus * minus).sum(axis=1) for plus, minus in pairs),
-                           b, m, frames[0].free_count, delta)
+                           alg.b, m, frames[0].free_count, alg.delta)
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +203,8 @@ class _SpeedupConstruction:
         of ``frames[d]`` (``_label_counts``), per source key of m positions."""
         if (cfg.delta, cfg.b, cfg.t, cfg.c) != (alg.delta, alg.b, alg.t, alg.c):
             raise InvalidParameterError("config does not match the source algorithm")
+        if alg.c > 63:      # bit i of a frequent-set mask is color i
+            raise BudgetExceededError(f"{alg.c} colors exceed the 63 bits of a frequent-set mask")
         dists = np.zeros((1 << (alg.b * m), len(frames), alg.c), dtype=np.int64)
         for d, fr in enumerate(frames):
             dists[:, d, :] = _label_counts(fr, alg.b, m, table_of(d), alg.c)
@@ -250,37 +233,35 @@ class EdgeSpeedupConstruction(_SpeedupConstruction):
     """Edge algorithm derived from a node algorithm by frequency
     thresholding over all completions of the endpoints' balls.  Slot d
     counts the colors of the slot's endpoint.  A dimension's label is its
-    pair of frequent-color masks packed ``P << c | M`` (palette 2^(2c)),
-    which is also the pair as the + endpoint sees it; the - endpoint sees
-    the half-swap ``M << c | P``."""
+    pair of frequent-color masks, which the + endpoint sees packed
+    ``P << c | M`` and the - endpoint as the half-swap ``M << c | P``; the
+    derived table codes the packed pairs that occur by their rank."""
 
     def edge_table(self, f):
-        c, masks = self.source.c, self.frequent_masks(f)
-        labels = tuple(DirectedPair(*divmod(p, 1 << c)) for p in range(1 << (2 * c)))
-        return EdgeTable(delta=self.cfg.delta, t=self.rounds, b=self.cfg.b, labels=labels,
-                         tables={dim: (masks[:, 2 * dim - 2] << c) | masks[:, 2 * dim - 1]
-                                 for dim in range(1, self.cfg.delta // 2 + 1)},
-                         name=f"{self.source.name or 'node-alg'}->edges")
+        return self._edge_table(self.frequent_masks(f))
 
     def local_failure(self, f):
         """Exact failure of the derived edge algorithm at threshold f."""
-        return self._failure(self.frequent_masks(f))
+        return edge_local_failure(self.edge_table(f))
 
     def evaluate(self, f):
         """p' and the goodness violation at f, computed once per level."""
         def results():
             masks = _threshold_mask(self.dists, f, self.completion_bits)
-            return self._failure(masks), self._goodness(masks)
+            return edge_local_failure(self._edge_table(masks)), self._goodness(masks)
         return self._at_level(f, "results", results)
 
-    def _failure(self, masks):
-        """The packed pairs that occur, ranked: equal pairs keep equal codes,
-        and the kernel counts over the pairs in use, not all 2^(2c)."""
+    def _edge_table(self, masks):
+        """Equal pairs keep equal codes, and c is the number of pairs in
+        use, not 2^(2c)."""
         pairs = (masks << self.source.c) | masks[:, np.arange(masks.shape[1]) ^ 1]
         used, rank = np.unique(pairs, return_inverse=True)
         rank = rank.reshape(pairs.shape)
-        return _edge_failure(self.cfg.delta, self.rounds, self.cfg.b,
-                             lambda d: rank[:, d], used.size)
+        dims = range(1, self.cfg.delta // 2 + 1)
+        return EdgeTable(delta=self.cfg.delta, t=self.rounds, b=self.cfg.b, c=used.size,
+                         tables={dim: rank[:, 2 * dim - 2] for dim in dims},
+                         minus={dim: rank[:, 2 * dim - 1] for dim in dims},
+                         name=f"{self.source.name or 'node-alg'}->edges")
 
     def goodness_violation(self, f):
         """Pr[some incident edge's frequent set omits the center's color].
@@ -309,11 +290,13 @@ def node_to_edge_speedup(alg, cfg):
     For each edge view the rule enumerates every completion of both
     endpoints' radius-t balls; color i is frequent for an endpoint iff its
     conditional probability is at least f.  The label is the pair of
-    frequent-color bit vectors, plus endpoint first (palette 2^(2c), which
-    must fit the table-bits cap)."""
+    frequent-color bit vectors, plus endpoint first, packed into one int64
+    (so 2c must fit 62 bits)."""
     if alg.t < 1:
         raise InvalidParameterError("node->edge speedup needs t >= 1")
-    _check_table_bits(2 * alg.c)
+    if 2 * alg.c > 62:
+        raise BudgetExceededError(
+            f"pair labels of 2c = {2 * alg.c} bits exceed the 62 bits of an int64")
     s = alg.t - 1
     return EdgeSpeedupConstruction._from_frames(
         alg, cfg, s, _endpoint_frames(alg.delta, alg.t, s),
@@ -333,20 +316,21 @@ class NodeSpeedupConstruction(_SpeedupConstruction):
         directions' c-bit frequent-set masks, direction i at bits i*c.
         The directions are folded in one at a time; before a mask would be
         shifted past bit 62, the running code is replaced by its rank among
-        the distinct codes (one 1-D ``np.unique``), so colors stay
-        non-negative int64 and equal exactly where the mask rows are equal.
-        Up to ``delta*c = 62`` bits, which covers every CLI config, the
-        color is the plain packing."""
+        the distinct codes, and if the rank and the mask still pass bit 62,
+        the mask is ranked too.  So colors stay non-negative int64 and equal
+        exactly where the mask rows are equal.  Up to ``delta*c = 62`` bits,
+        which covers every CLI config, the color is the plain packing."""
         c = self.source.c
         masks = self.frequent_masks(f)
         code, width = masks[:, 0], c
         for direction in range(1, self.cfg.delta):
-            if width + c > 62:
-                _, code = np.unique(code, return_inverse=True)
-                code = code.reshape(-1).astype(np.int64)
-                width = int(code.max()).bit_length()
-            code = code | (masks[:, direction] << width)
-            width += c
+            column, bits = masks[:, direction], c
+            if width + bits > 62:
+                code, width = _ranked(code)
+            if width + bits > 62:
+                column, bits = _ranked(column)
+            code = code | (column << width)
+            width += bits
         return NodeTable(delta=self.cfg.delta, t=self.rounds, b=self.cfg.b,
                          c=1 << (self.cfg.delta * c), table=code,
                          name=f"{self.source.name or 'edge-alg'}->nodes")
@@ -357,6 +341,12 @@ class NodeSpeedupConstruction(_SpeedupConstruction):
 
     def local_failure(self, f):
         return node_local_failure(self.node_table(f))
+
+
+def _ranked(code):
+    """Each entry's rank among the distinct entries, and the largest rank's bit width."""
+    rank = np.unique(code, return_inverse=True)[1].astype(np.int64)
+    return rank, int(rank.max()).bit_length()
 
 
 def edge_to_node_speedup(alg, cfg):
@@ -550,20 +540,19 @@ def random_node_algorithm(delta, t, b, c, seed):
 def xor_edge_algorithm(delta, t, b):
     """Label each edge with the XOR of its endpoints' first bits."""
     return EdgeTable.from_rule(
-        delta, t, b, (0, 1),
+        delta, t, b, 2,
         lambda dim, bits: (bits[("P", ())] ^ bits[("M", ())]) & 1,
         name="endpoint-xor")
 
 
 def constant_edge_algorithm(delta, t, b, c, value=0):
-    return EdgeTable.from_rule(delta, t, b, tuple(range(c)),
-                               lambda dim, bits: value,
+    return EdgeTable.from_rule(delta, t, b, c, lambda dim, bits: value,
                                name=f"constant-edge-{value}")
 
 
 def endpoint_sum_edge_algorithm(delta, t, b, c):
     return EdgeTable.from_rule(
-        delta, t, b, tuple(range(c)),
+        delta, t, b, c,
         lambda dim, bits: (bits[("P", ())] + bits[("M", ())]) % c,
         name="endpoint-sum")
 
@@ -575,8 +564,8 @@ def random_edge_algorithm(delta, t, b, c, seed):
         m = len(edge_positions(delta, t, dim))
         _check_table_bits(b * m)
         tables[dim] = rng.integers(0, c, size=1 << (b * m), dtype=np.int64)
-    return EdgeTable(delta=delta, t=t, b=b, labels=tuple(range(c)),
-                     tables=tables, name=f"random-edge-{seed}")
+    return EdgeTable(delta=delta, t=t, b=b, c=c, tables=tables,
+                     name=f"random-edge-{seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +593,8 @@ def as_local_algorithm(alg):
             if at not in balls:
                 balls[at] = edge_ball(*at, alg.t)
             dim, nodes = balls[at]
-            return alg.labels[int(alg.tables[dim][pack_key(nodes, alg.b, view.assignment)])]
+            key = pack_key(nodes, alg.b, view.assignment)
+            return DirectedPair(int(alg.tables[dim][key]), int(alg.minus[dim][key]))
         return LocalAlgorithm(rounds=alg.t, kind="edge", rule=rule,
                               name=alg.name or "edge-table")
     raise InvalidInputError("expected a NodeTable or EdgeTable")

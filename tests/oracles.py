@@ -8,8 +8,9 @@ leaf-free check, the ``json.load`` path every graph file was read through,
 the string-keyed copy ``run`` wrote its label maps through, the eager view
 encoding, the per-draw seeded draws, the per-node weak-2 stages and
 their dict handoff, the numpy count of a threshold's level, the ``Fraction``
-right-hand side of the speedup inequality, the methods and formula only
-tests call, and small graph, bound and enumeration helpers.  The per-point
+right-hand side of the speedup inequality, the check that a derived edge
+table codes its mask pairs by rank, the methods and formula only tests call,
+and small graph, bound and enumeration helpers.  The per-point
 speedup sweep is the one exception: its loop is unchanged, but it calls the
 construction's kernels on masks it thresholds itself.  Tests import them as
 they import ``conftest``.
@@ -544,6 +545,23 @@ def level_by_mask(con, f):
     return int((np.unique(con.dists) >= need).sum())
 
 
+def pair_codes(table, masks, c):
+    """``{packed pair: code}`` of a derived direction-1 edge table, checked
+    to rank its mask pairs: per key and dimension, ``tables`` codes the pair
+    ``P << c | M`` that the + endpoint sees and ``minus`` the half-swap
+    ``M << c | P``, one code per distinct pair in use and ``table.c`` codes
+    in all."""
+    code_of = {}
+    for dim in table.tables:
+        plus, minus = masks[:, 2 * dim - 2], masks[:, 2 * dim - 1]
+        for codes, pairs in ((table.tables[dim], plus << c | minus),
+                             (table.minus[dim], minus << c | plus)):
+            for code, pair in zip(codes.tolist(), pairs.tolist()):
+                assert code_of.setdefault(pair, code) == code
+    assert len(set(code_of.values())) == len(code_of) == table.c
+    return code_of
+
+
 def inequality_rhs_fractions(direction, p_prime, c, f, delta):
     """Lower bound the derived failure imposes on the source failure:
     (p' - delta*c*f) * f^delta for direction 1,
@@ -576,7 +594,7 @@ def verify_speedup_inequality_per_point(g, source, derived, cfg, direction,
     def evaluate(f):
         if direction == 1:
             masks = _threshold_mask(construction.dists, f, construction.completion_bits)
-            p_prime = construction._failure(masks)
+            p_prime = edge_local_failure(construction._edge_table(masks))
             gv = construction._goodness(masks)
         else:
             p_prime, gv = node_local_failure(construction.node_table(f)), None

@@ -120,10 +120,11 @@ def test_speedup_budget_exit(tmp_path):
 
 
 def test_speedup_pair_palette_cap_exits_budget(tmp_path):
-    """Direction 1's derived labels are pairs of c-bit masks, a 2^(2c)
-    palette.  Past the table-bits cap (c >= 12) it exits 3 before any table
-    is built; it used to build every pair label and never exit at c = 100.
-    Run in a child process, so a hang fails the test instead of stalling it."""
+    """Direction 1's derived label is a pair of c-bit masks packed into one
+    int64, so past 2c = 62 bits (c >= 32) it exits 3 before any table is
+    built; it once built every pair label and never exited at c = 100.  Up
+    to c = 31 it runs, as the kernel counts only the pairs in use.  Run in a
+    child process, so a hang fails the test instead of stalling it."""
     env = dict(os.environ, PYTHONPATH=str(Path(lclsim.cli.__file__).parents[1]))
 
     def speedup(c):
@@ -135,11 +136,27 @@ def test_speedup_pair_palette_cap_exits_budget(tmp_path):
     start = time.perf_counter()
     big = speedup(100)
     assert big.returncode == 3 and time.perf_counter() - start < 30
-    assert "budget exceeded: table over 200 bits exceeds the 22-bit cap" in big.stderr
+    assert ("budget exceeded: pair labels of 2c = 200 bits exceed the 62 bits of an int64"
+            in big.stderr)
     assert not (tmp_path / "s100.json").exists()
-    assert speedup(12).returncode == 3
-    assert speedup(8).returncode == 0
-    assert json.loads((tmp_path / "s8.json").read_text())["cfg"]["c"] == 8
+    assert speedup(32).returncode == 3
+    assert not (tmp_path / "s32.json").exists()
+    assert speedup(31).returncode == 0
+    assert json.loads((tmp_path / "s31.json").read_text())["cfg"]["c"] == 31
+
+
+@pytest.mark.parametrize("c, code", [(64, 3), (63, 0)])
+def test_speedup_direction2_mask_bits_exit_budget(tmp_path, capsys, c, code):
+    """Bit i of a frequent-set mask is color i, so direction 2 past 63 colors
+    exits 3 before any counts; it once shifted colors 63 and up out of the
+    masks and wrote p' = 1 where the exact value is 1/16."""
+    out = tmp_path / "s.json"
+    assert run_cli(["speedup", "--direction", "2", "--algorithm", "random", "--delta", "4",
+                    "--t", "0", "--b", "1", "--c", str(c), "--seed", "6",
+                    "--grid", "3", "--out", str(out)]) == code
+    assert out.exists() == (code == 0)
+    if code:
+        assert "64 colors exceed the 63 bits" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("algorithm", ["homogeneous-constant", "solve-pointers-local"])

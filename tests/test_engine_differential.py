@@ -284,7 +284,7 @@ def test_edge_joint_space_at_the_histogram_cap(c):
     """Four edge sources with c labels each: exact against the kernel and
     Monte Carlo against the oracle."""
     size = 1 << (3 * 2)                           # b=3 at both endpoints
-    table = EdgeTable(delta=4, t=0, b=3, labels=tuple(range(c)),
+    table = EdgeTable(delta=4, t=0, b=3, c=c,
                       tables={dim: np.arange(size) * (dim + 4) % c for dim in (1, 2)})
     alg = as_local_algorithm(table)
     est = local_failure_probability(TREE, alg, 0, weak_edge_coloring_failure, b=3)

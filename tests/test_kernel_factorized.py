@@ -8,17 +8,17 @@ import numpy as np
 import pytest
 
 from lclsim.cli import EDGE_SOURCES, NODE_SOURCES
-from lclsim.engine import DirectedPair
 from lclsim.errors import BudgetExceededError, InvalidParameterError
 from lclsim.oriented import (KERNEL_BUDGET_BITS, TABLE_BITS_CAP, EdgeTable,
                              NodeTable, ball_paths, edge_positions,
                              endpoint_completion_frame, incident_edge_frame,
                              key_tables, neighbor_frame, overlap_tables)
 from lclsim.speedup import (SpeedupConfig, _count_dtype, _onehot_counts,
-                            _relative_code_maps, _threshold_mask,
+                            _threshold_mask,
                             default_f_grid, edge_local_failure,
                             edge_to_node_speedup, node_local_failure,
                             node_to_edge_speedup, optimizing_f)
+from oracles import pair_codes
 
 # ---------------------------------------------------------------------------
 # Oracles: the code the factorized kernels replace
@@ -69,16 +69,14 @@ def node_local_failure_oracle(alg):
 def edge_local_failure_oracle(alg):
     delta, t, b = alg.delta, alg.t, alg.b
     m = len(ball_paths(delta, t))
-    rel_plus, rel_minus, n_codes = _relative_code_maps(alg.labels)
     prod = None
     free_bits = 0
     for dim in range(1, delta // 2 + 1):
         per_side = []
         for direction in (2 * (dim - 1), 2 * (dim - 1) + 1):
             fr = incident_edge_frame(delta, t, t, direction)
-            lab = alg.tables[dim][_gather(fr, b, m)]
-            rel = rel_plus if direction % 2 == 0 else rel_minus
-            per_side.append(_onehot_counts(rel[lab], n_codes).astype(
+            codes = (alg.tables, alg.minus)[direction % 2][dim][_gather(fr, b, m)]
+            per_side.append(_onehot_counts(codes, alg.c).astype(
                 _count_dtype(b, m, fr.free_count, delta), copy=False))
             free_bits = b * fr.free_count
         match = (per_side[0] * per_side[1]).sum(axis=1)
@@ -124,14 +122,16 @@ def edge_to_node_dists_oracle(alg):
 
 
 def edge_table_oracle(alg, dists, bits, f):
+    """The derived table with every packed pair its own code, unranked:
+    the + endpoint sees ``P << c | M`` and the - endpoint ``M << c | P``,
+    out of all 2^(2c)."""
     c = alg.c
-    labels = tuple(DirectedPair(p >> c, p & ((1 << c) - 1))
-                   for p in range(1 << (2 * c)))
     masks = {dim: {side: threshold_mask_oracle(d, f, bits)
                    for side, d in sides.items()} for dim, sides in dists.items()}
-    tables = {dim: (masks[dim]["P"] << c) | masks[dim]["M"] for dim in masks}
-    return masks, EdgeTable(delta=alg.delta, t=alg.t - 1, b=alg.b,
-                            labels=labels, tables=tables)
+    return masks, EdgeTable(
+        delta=alg.delta, t=alg.t - 1, b=alg.b, c=1 << (2 * c),
+        tables={dim: (masks[dim]["P"] << c) | masks[dim]["M"] for dim in masks},
+        minus={dim: (masks[dim]["M"] << c) | masks[dim]["P"] for dim in masks})
 
 
 def goodness_violation_oracle(alg, masks):
@@ -171,8 +171,7 @@ def node_from_rule_oracle(cls, delta, t, b, c, fn, name=""):
     return cls(delta=delta, t=t, b=b, c=c, table=table, name=name)
 
 
-def edge_from_rule_oracle(cls, delta, t, b, labels, fn, name=""):
-    labels = tuple(labels)
+def edge_from_rule_oracle(cls, delta, t, b, c, fn, name=""):
     tables = {}
     for dim in range(1, delta // 2 + 1):
         pos = edge_positions(delta, t, dim)
@@ -182,11 +181,11 @@ def edge_from_rule_oracle(cls, delta, t, b, labels, fn, name=""):
         table = np.empty(1 << (b * len(pos)), dtype=np.int64)
         for key in range(table.size):
             out = fn(dim, {p: (key >> (i * b)) & mask for i, p in enumerate(pos)})
-            if not 0 <= out < len(labels):
-                raise InvalidParameterError(f"rule output {out} outside the palette")
+            if not 0 <= out < c:
+                raise InvalidParameterError(f"rule output {out} outside [0,{c})")
             table[key] = out
         tables[dim] = table
-    return cls(delta=delta, t=t, b=b, labels=labels, tables=tables, name=name)
+    return cls(delta=delta, t=t, b=b, c=c, tables=tables, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +255,8 @@ def test_factorized_matches_gather(case, monkeypatch):
                      lambda: node_local_failure_oracle(want_alg)) is not None
     else:
         _assert_same_tables(alg.tables, want_alg.tables)
-        assert alg.labels == want_alg.labels
+        _assert_same_tables(alg.minus, want_alg.minus)
+        assert alg.c == want_alg.c
         if _both(lambda: edge_local_failure(alg),
                  lambda: edge_local_failure_oracle(want_alg)) is None:
             return
@@ -282,9 +282,13 @@ def test_factorized_matches_gather(case, monkeypatch):
             for dim in masks:
                 for slot, side in enumerate("PM", start=2 * dim - 2):
                     assert np.array_equal(got[:, slot], masks[dim][side])
+            # the same pairs, coded by rank instead of by their packing
             got_table = con.edge_table(f)
-            assert got_table.labels == table.labels
-            _assert_same_tables(got_table.tables, table.tables)
+            code_of = pair_codes(got_table, got, c)
+            for dim in masks:
+                for codes, want in ((got_table.tables, table.tables),
+                                    (got_table.minus, table.minus)):
+                    assert [code_of[p] for p in want[dim].tolist()] == codes[dim].tolist()
             assert con.goodness_violation(f) == goodness_violation_oracle(alg, masks)
             p_prime = con.local_failure(f)
             assert p_prime == edge_local_failure_oracle(table)
@@ -349,7 +353,7 @@ def test_from_rule_out_of_range_same_exception(bad):
 
     for owner, oracle, args, rule in (
             (NodeTable, node_from_rule_oracle, (4, 1, 1, 2), node_rule),
-            (EdgeTable, edge_from_rule_oracle, (4, 0, 1, (0, 1)), edge_rule)):
+            (EdgeTable, edge_from_rule_oracle, (4, 0, 1, 2), edge_rule)):
         with pytest.raises(InvalidParameterError):
             oracle(owner, *args, rule)
         with pytest.raises(InvalidParameterError):

@@ -26,7 +26,7 @@ from lclsim.speedup import (SpeedupConfig, as_local_algorithm,
                             verify_speedup_inequality, xor_edge_algorithm)
 from lclsim.views import extract_view
 from conftest import relabeled
-from oracles import enumerate_assignments, inequality_rhs_fractions, with_bits
+from oracles import enumerate_assignments, inequality_rhs_fractions, pair_codes, with_bits
 
 
 def test_coordinates():
@@ -61,12 +61,17 @@ def test_canonical_case_exact_values():
 def test_identity_frequent_labels():
     alg = own_bit_node_algorithm(4, 1, 1, 2)
     cfg = SpeedupConfig(delta=4, c=2, t=1, f=Fraction(9, 10), b=1)
-    table = node_to_edge_speedup(alg, cfg).edge_table(Fraction(9, 10))
+    con = node_to_edge_speedup(alg, cfg)
+    masks = con.frequent_masks(Fraction(9, 10))
+    table = con.edge_table(Fraction(9, 10))
+    code_of = pair_codes(table, masks, 2)
     for dim in (1, 2):
         for key in range(4):
             bits_p, bits_m = key & 1, key >> 1
-            lab = table.labels[int(table.tables[dim][key])]
-            assert lab == DirectedPair(1 << bits_p, 1 << bits_m)
+            assert masks[key, 2 * dim - 2] == 1 << bits_p
+            assert masks[key, 2 * dim - 1] == 1 << bits_m
+            pair = 1 << bits_p << 2 | 1 << bits_m
+            assert table.tables[dim][key] == code_of[pair]
 
 
 def test_constant_source_labels_all_edges_alike():
@@ -86,10 +91,13 @@ def test_high_threshold_empties_frequent_sets():
         return (bits[(0,)] ^ bits[(1,)] ^ bits[(2,)] ^ bits[(3,)]) & 1
     alg = NodeTable.from_rule(4, 1, 1, 2, rule, name="neighbor-xor")
     cfg = SpeedupConfig(delta=4, c=2, t=1, f=Fraction(9, 10), b=1)
-    table = node_to_edge_speedup(alg, cfg).edge_table(Fraction(9, 10))
+    con = node_to_edge_speedup(alg, cfg)
+    masks = con.frequent_masks(Fraction(9, 10))
+    assert not masks.any()
+    table = con.edge_table(Fraction(9, 10))
+    assert pair_codes(table, masks, 2) == {0: 0}
     for dim in (1, 2):
-        labs = {table.labels[int(i)] for i in table.tables[dim]}
-        assert labs == {DirectedPair(0, 0)}
+        assert set(table.tables[dim].tolist()) == set(table.minus[dim].tolist()) == {0}
 
 
 def test_edge_to_node_xor_example():
@@ -115,8 +123,14 @@ def test_edge_to_node_constant():
 def test_derived_palette_sizes():
     alg = own_bit_node_algorithm(4, 1, 1, 2)
     cfg = SpeedupConfig(delta=4, c=2, t=1, f=Fraction(1, 3), b=1)
-    table = node_to_edge_speedup(alg, cfg).edge_table(Fraction(1, 3))
-    assert len(table.labels) == 2 ** (2 * 2)
+    con = node_to_edge_speedup(alg, cfg)
+    masks = con.frequent_masks(Fraction(1, 3))
+    # each endpoint's color is its own bit, seen in the edge view: masks
+    # {1, 2}, so 4 of the 2^(2c) = 16 pairs are in use
+    assert set(masks.ravel().tolist()) == {1, 2}
+    table = con.edge_table(Fraction(1, 3))
+    assert table.c == 4
+    assert sorted(pair_codes(table, masks, 2)) == [0b0101, 0b0110, 0b1001, 0b1010]
     e = xor_edge_algorithm(4, 0, 1)
     nt = edge_to_node_speedup(e, SpeedupConfig(4, 2, 0, Fraction(1, 3), 1))
     assert all(0 <= x < 2 ** (4 * 2) for x in nt.node_table(Fraction(1, 3)).table)
@@ -182,7 +196,9 @@ def test_derived_edge_algorithm_against_direct_simulation():
     alg = random_node_algorithm(4, 1, 1, 2, seed=9)
     f = Fraction(1, 3)
     cfg = SpeedupConfig(delta=4, c=2, t=1, f=f, b=1)
-    table = node_to_edge_speedup(alg, cfg).edge_table(f)
+    con = node_to_edge_speedup(alg, cfg)
+    table = con.edge_table(f)
+    code_of = pair_codes(table, con.frequent_masks(f), 2)
     g = gen_regular_tree(4, 2)
     a = Assignment.random(g, 1, seed=10)
     local = as_local_algorithm(table)
@@ -206,7 +222,11 @@ def test_derived_edge_algorithm_against_direct_simulation():
                 total += 1
             masks[w] = sum(1 << i for i in (0, 1)
                            if Fraction(counts[i], total) >= f)
-        assert got == DirectedPair(masks[plus], masks[minus])
+        key = pack_edge_view(g, 0, u, 0, 1, a)[1]
+        assert con.frequent_masks(f)[key, 2 * dim - 2:2 * dim].tolist() == [
+            masks[plus], masks[minus]]
+        assert got == DirectedPair(code_of[masks[plus] << 2 | masks[minus]],
+                                   code_of[masks[minus] << 2 | masks[plus]])
 
 
 def test_inequality_report_canonical():
@@ -272,6 +292,18 @@ def test_budget_guard():
         random_edge_algorithm(6, 1, 2, 2, seed=0)
 
 
+def test_edge_table_rejects_codes_outside_the_palette():
+    """A code outside [0, c) in either endpoint's table raises, instead of
+    counting in the next row of the kernel's one-hot counts."""
+    ok = np.array([0, 1, 1, 0])
+    for bad in (np.array([0, 2, 1, 0]), np.array([0, -1, 1, 0])):
+        for kw in ({"tables": {1: bad, 2: ok}},
+                   {"tables": {1: ok, 2: ok}, "minus": {1: ok, 2: bad}}):
+            with pytest.raises(InvalidParameterError, match=r"outside \[0,2\)"):
+                EdgeTable(delta=4, t=0, b=1, c=2, **kw)
+    assert EdgeTable(delta=4, t=0, b=1, c=2, tables={1: ok, 2: ok}).minus[1] is ok
+
+
 def test_exact_mode_out_of_budget_at_two_rounds():
     """Exact kernels stop at t >= 2 (conditioning + completion bits exceed
     the budget); the Monte Carlo route through the engine still works."""
@@ -326,13 +358,12 @@ def identity_node_table(delta, t, b):
 
 
 def identity_edge_table(delta, t, b):
-    """An edge table whose label is ``(dim, key)``, as ``pack_edge_view``
-    returns it."""
+    """An edge table whose code is ``(dim - 1) * size + key`` for the
+    ``(dim, key)`` that ``pack_edge_view`` returns, and ``size``."""
     dims = range(1, delta // 2 + 1)
     size = 1 << (b * len(edge_positions(delta, t, 1)))
-    return EdgeTable(delta=delta, t=t, b=b,
-                     labels=tuple((dim, key) for dim in dims for key in range(size)),
-                     tables={dim: (dim - 1) * size + np.arange(size) for dim in dims})
+    return EdgeTable(delta=delta, t=t, b=b, c=len(dims) * size,
+                     tables={dim: (dim - 1) * size + np.arange(size) for dim in dims}), size
 
 
 def test_bridge_keys_on_two_trees_at_every_center():
@@ -344,12 +375,17 @@ def test_bridge_keys_on_two_trees_at_every_center():
     base = gen_regular_tree(4, 3)
     trees = [base, relabeled(base, seed=3)[0]]
     node = as_local_algorithm(identity_node_table(4, t, b))
-    edge = as_local_algorithm(identity_edge_table(4, t, b))
+    edge_table, size = identity_edge_table(4, t, b)
+    edge = as_local_algorithm(edge_table)
+
+    def edge_code(dim, key):
+        return DirectedPair((dim - 1) * size + key, (dim - 1) * size + key)
     for rnd in range(2):
         for k, g in enumerate(trees):
             a = Assignment.random(g, b, seed=10 * rnd + k)
             packs = {"node": lambda view: pack_node_view(g, view.center, t, b, a),
-                     "edge": lambda view: pack_edge_view(g, *view.center, t, b, a)}
+                     "edge": lambda view: edge_code(*pack_edge_view(g, *view.center,
+                                                                    t, b, a))}
             for v in range(g.n):
                 for alg, center in [(node, v)] + [(edge, (v, u)) for u in g.adjacent(v)]:
                     view = extract_view(g, center, t, a)
@@ -380,3 +416,19 @@ def test_engine_equals_the_kernel_for_every_edge_source(name):
     est = local_failure_probability(gen_regular_tree(4, 2), as_local_algorithm(table),
                                     0, weak_edge_coloring_failure, b=2)
     assert est.value == edge_local_failure(table)
+
+
+@pytest.mark.parametrize("c", [2, 12, 31])
+@pytest.mark.parametrize("b", [1, 2])
+@pytest.mark.parametrize("name", NODE_SOURCES)
+def test_engine_equals_the_kernel_on_derived_edge_tables(name, b, c):
+    """The derived edge table through the bridge, whose labels are pairs of
+    ranked codes, against the kernel on the same codes, up to the 2c = 62
+    bits a packed pair allows."""
+    con = node_to_edge_speedup(NODE_SOURCES[name](4, 1, b, c, 1),
+                               SpeedupConfig(delta=4, c=c, t=1, f=Fraction(1, 40), b=b))
+    g = gen_regular_tree(4, 2)
+    for f in (Fraction(1, 40), Fraction(1, 3), Fraction(2, 3)):
+        est = local_failure_probability(g, as_local_algorithm(con.edge_table(f)), 0,
+                                        weak_edge_coloring_failure, b=b)
+        assert est.value == con.local_failure(f)

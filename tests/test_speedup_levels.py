@@ -143,17 +143,17 @@ def distinct_tables(con, thresholds):
 def test_derived_kernel_runs_once_per_level(monkeypatch, direction, src, delta, t, b, c,
                                             levels):
     calls = {"edge": 0, "node": 0}
-    real_edge, real_node = speedup._edge_failure, speedup.node_local_failure
+    real_edge, real_node = speedup.edge_local_failure, speedup.node_local_failure
 
-    def edge_failure(*args):
+    def edge_failure(alg):
         calls["edge"] += 1
-        return real_edge(*args)
+        return real_edge(alg)
 
     def node_failure(alg):
         calls["node"] += 1
         return real_node(alg)
 
-    monkeypatch.setattr(speedup, "_edge_failure", edge_failure)
+    monkeypatch.setattr(speedup, "edge_local_failure", edge_failure)
     monkeypatch.setattr(speedup, "node_local_failure", node_failure)
     alg, cfg, con = build(direction, src, delta, t, b, c)
     grid = default_f_grid(100)

@@ -3,7 +3,7 @@ sweep.
 
 ``NodeSpeedupConstruction.node_table`` packs each direction's c-bit
 frequent-set mask into one int64 color; past 62 bits it rank-compresses
-the running code.  The oracle is the rank of each key's whole mask row
+the running code, and the mask too when the rank leaves no room for it.  The oracle is the rank of each key's whole mask row
 (``np.unique(axis=0)``): colors must be equal exactly where the rows are.
 ``verify_speedup_inequality`` thresholds each direction-1 grid point at
 most once: once per level.
@@ -18,7 +18,7 @@ import lclsim.speedup as speedup
 from lclsim.graph import gen_regular_tree
 from lclsim.oriented import EdgeTable, NodeTable
 from lclsim.speedup import (SpeedupConfig, _threshold_mask,
-                            constant_edge_algorithm, edge_to_node_speedup,
+                            constant_edge_algorithm, default_f_grid, edge_to_node_speedup,
                             endpoint_sum_edge_algorithm, node_local_failure,
                             node_to_edge_speedup, random_edge_algorithm,
                             random_node_algorithm, verify_speedup_inequality,
@@ -48,7 +48,7 @@ def test_dimension3_p_bit_delta6_c16_keeps_every_direction():
     """The label is the P endpoint's bit on dimension 3 and 0 elsewhere; a
     node's output follows its own bit, so the failure is 2^-6.  Shifts of
     64 and 80 bits used to drop directions 4 and 5 and report 1."""
-    alg = EdgeTable.from_rule(6, 0, 1, range(16),
+    alg = EdgeTable.from_rule(6, 0, 1, 16,
                               lambda dim, bits: bits[("P", ())] & 1 if dim == 3 else 0)
     cfg = SpeedupConfig(delta=6, c=16, t=0, f=Fraction(1, 4), b=1)
     con = edge_to_node_speedup(alg, cfg)
@@ -86,6 +86,22 @@ def test_node_table_matches_rank_compressed_mask_rows(source, delta, t, b, c):
         if delta * alg.c <= 62:     # below 63 bits the color is the plain packing
             shifts = np.arange(delta, dtype=np.int64) * alg.c
             assert np.array_equal(table, np.bitwise_or.reduce(masks << shifts, axis=1))
+
+
+@pytest.mark.parametrize("c", [56, 62, 63])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_node_table_ranks_the_mask_column_when_the_rank_is_too_wide(c, seed):
+    """Past c = 53 the running code's rank plus a c-bit mask can still pass
+    bit 62; the mask is then ranked too.  Shifting the whole mask wrapped,
+    and reported p' = 17290655/2^34 for 15855363/2^34 (seed 2, c = 56)."""
+    alg = random_edge_algorithm(4, 1, 2, c, seed=seed)
+    con = edge_to_node_speedup(alg, SpeedupConfig(delta=4, c=c, t=1, f=Fraction(1, 40), b=2))
+    levels = {con.level(f): f for f in default_f_grid(100)}
+    for f in levels.values():
+        table = con.node_table(f).table
+        _, ranks = mask_row_ranks(con, f)
+        assert (table >= 0).all()
+        assert same_partition(table, ranks)
 
 
 @pytest.mark.parametrize("delta,b,c", [(4, 1, 2), (4, 2, 4), (6, 1, 2)])
